@@ -293,6 +293,13 @@ int main(int argc, char** argv) {
     tampered.seed = 999;  // content changed, key left stale
     write_file(root + "/corpus/campaign/cell_record_stale_key",
                tampered.to_json().dump(2));
+
+    // Every experiment's committed default spec: the seeds the spec
+    // canonicalizers mutate from.
+    for (const auto& entry : ringent::core::experiment_registry()) {
+      write_file(root + "/corpus/campaign/spec_" + entry.name,
+                 entry.default_spec().dump(2));
+    }
   }
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "core/experiments.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -117,7 +118,15 @@ std::string stage_sweep_label(RingKind kind,
 VoltageSweepResult run_voltage_sweep(const VoltageSweepSpec& sweep,
                                      const Calibration& calibration,
                                      const ExperimentOptions& options) {
-  RINGENT_REQUIRE(!sweep.voltages.empty(), "need at least one voltage");
+  sweep.validate();
+  // Fn's reference depends on the calibration, so this rule is the
+  // driver's, not the spec's; it is checked before anything is simulated.
+  const auto is_nominal = [&](double v) {
+    return std::abs(v - calibration.nominal_voltage) < 1e-9;
+  };
+  RINGENT_REQUIRE(
+      std::any_of(sweep.voltages.begin(), sweep.voltages.end(), is_nominal),
+      "sweep must include the nominal voltage");
   const DriverScope driver_scope("voltage_sweep", sweep.ring.name(), options,
                           sweep.voltages.size());
   VoltageSweepResult out;
@@ -140,12 +149,10 @@ VoltageSweepResult run_voltage_sweep(const VoltageSweepSpec& sweep,
   });
   const sim::metrics::ScopedPhase analyze("analyze");
   for (const auto& point : out.points) {
-    if (std::abs(point.voltage_v - calibration.nominal_voltage) < 1e-9) {
+    if (is_nominal(point.voltage_v)) {
       out.f_nominal_mhz = point.frequency_mhz;
     }
   }
-  RINGENT_REQUIRE(out.f_nominal_mhz > 0.0,
-                  "sweep must include the nominal voltage");
 
   double f_min = out.points.front().frequency_mhz;
   double f_max = f_min;
@@ -161,7 +168,7 @@ VoltageSweepResult run_voltage_sweep(const VoltageSweepSpec& sweep,
 TemperatureSweepResult run_temperature_sweep(const TemperatureSweepSpec& sweep,
                                              const Calibration& calibration,
                                              const ExperimentOptions& options) {
-  RINGENT_REQUIRE(!sweep.temperatures.empty(), "need at least one temperature");
+  sweep.validate();
   const DriverScope driver_scope("temperature_sweep", sweep.ring.name(),
                                  options, sweep.temperatures.size());
   TemperatureSweepResult out;
@@ -189,7 +196,6 @@ TemperatureSweepResult run_temperature_sweep(const TemperatureSweepSpec& sweep,
       out.f_nominal_mhz = point.frequency_mhz;
     }
   }
-  RINGENT_REQUIRE(out.f_nominal_mhz > 0.0, "sweep must include 25 C");
 
   double f_min = out.points.front().frequency_mhz;
   double f_max = f_min;
@@ -205,7 +211,7 @@ TemperatureSweepResult run_temperature_sweep(const TemperatureSweepSpec& sweep,
 ProcessVariabilityResult run_process_variability(
     const ProcessVariabilitySpec& sweep, const Calibration& calibration,
     const ExperimentOptions& options) {
-  RINGENT_REQUIRE(sweep.board_count >= 2, "need at least two boards");
+  sweep.validate();
   const DriverScope driver_scope("process_variability", sweep.ring.name(),
                                  options, sweep.board_count);
   ProcessVariabilityResult out;
@@ -255,6 +261,7 @@ std::vector<double> collect_periods_ps(const RingSpec& spec,
 std::vector<JitterPoint> run_jitter_vs_stages(const JitterSweepSpec& sweep,
                                               const Calibration& calibration,
                                               const ExperimentOptions& options) {
+  sweep.validate();
   const std::size_t ring_periods =
       (std::size_t{1} << sweep.divider_n) * (sweep.mes_periods + 1) + 2;
   const DriverScope driver_scope(
@@ -302,7 +309,7 @@ std::vector<JitterPoint> run_jitter_vs_stages(const JitterSweepSpec& sweep,
 std::vector<ModeMapEntry> run_mode_map(const ModeMapSpec& map,
                                        const Calibration& calibration,
                                        const ExperimentOptions& options) {
-  RINGENT_REQUIRE(map.charlie_scale >= 0.0, "negative charlie scale");
+  map.validate();
   Calibration scaled = calibration;
   scaled.str_d_charlie = calibration.str_d_charlie.scaled(map.charlie_scale);
   if (scaled.str_d_charlie.is_zero()) {
@@ -344,8 +351,7 @@ std::vector<ModeMapEntry> run_mode_map(const ModeMapSpec& map,
 RestartResult run_restart_experiment(const RestartSpec& restart,
                                      const Calibration& calibration,
                                      const ExperimentOptions& options) {
-  RINGENT_REQUIRE(restart.restarts >= 8, "need at least 8 restarts");
-  RINGENT_REQUIRE(restart.edges >= 8, "need at least 8 edges");
+  restart.validate();
   const DriverScope driver_scope("restart", restart.ring.name(), options,
                                  restart.restarts + 1);
   RestartResult out;
@@ -396,9 +402,7 @@ RestartResult run_restart_experiment(const RestartSpec& restart,
 CoherentSweepResult run_coherent_across_boards(const CoherentSweepSpec& sweep,
                                                const Calibration& calibration,
                                                const ExperimentOptions& options) {
-  RINGENT_REQUIRE(sweep.design_detune > 0.0 && sweep.design_detune < 0.2,
-                  "design detune out of (0, 0.2)");
-  RINGENT_REQUIRE(sweep.board_count >= 2, "need at least two boards");
+  sweep.validate();
   const DriverScope driver_scope("coherent_boards", sweep.ring.name(), options,
                                  sweep.board_count);
   CoherentSweepResult out;
@@ -454,6 +458,7 @@ CoherentSweepResult run_coherent_across_boards(const CoherentSweepSpec& sweep,
 std::vector<DeterministicJitterPoint> run_deterministic_jitter(
     const DeterministicJitterSpec& sweep, const Calibration& calibration,
     const ExperimentOptions& options) {
+  sweep.validate();
   const DriverScope driver_scope(
       sweep.kind == RingKind::iro ? "deterministic_jitter_iro"
                                   : "deterministic_jitter_str",
@@ -551,20 +556,7 @@ AttackResilienceSpec AttackResilienceSpec::paper_default() {
 EntropyMapResult run_entropy_map(const EntropyMapSpec& spec,
                                  const Calibration& calibration,
                                  const ExperimentOptions& options) {
-  RINGENT_REQUIRE(!spec.kinds.empty(), "need at least one ring kind");
-  RINGENT_REQUIRE(!spec.stage_counts.empty(), "need at least one stage count");
-  RINGENT_REQUIRE(!spec.sampling_periods.empty(),
-                  "need at least one sampling period");
-  for (const Time period : spec.sampling_periods) {
-    RINGENT_REQUIRE(period > Time::zero(), "need a positive sampling period");
-  }
-  RINGENT_REQUIRE(spec.bits_per_cell >= 2, "need at least 2 bits per cell");
-  RINGENT_REQUIRE((spec.restart_rows == 0) == (spec.restart_cols == 0),
-                  "restart rows and cols must be enabled together");
-  RINGENT_REQUIRE(spec.restart_rows == 0 ||
-                      (spec.restart_rows >= 2 && spec.restart_cols >= 2),
-                  "restart validation needs a matrix of at least 2x2");
-  spec.battery.validate();
+  spec.validate();
 
   std::string label;
   for (const RingKind kind : spec.kinds) {
@@ -656,12 +648,7 @@ EntropyMapResult run_entropy_map(const EntropyMapSpec& spec,
 AttackResilienceResult run_attack_resilience(const AttackResilienceSpec& spec,
                                              const Calibration& calibration,
                                              const ExperimentOptions& options) {
-  RINGENT_REQUIRE(!spec.rings.empty(), "need at least one ring");
-  RINGENT_REQUIRE(!spec.scenarios.empty(), "need at least one scenario");
-  RINGENT_REQUIRE(spec.total_bits > 0, "need a positive bit budget");
-  RINGENT_REQUIRE(spec.sampling_period > Time::zero(),
-                  "need a positive sampling period");
-  for (const auto& scenario : spec.scenarios) scenario.validate();
+  spec.validate();
 
   std::string label;
   for (const auto& ring : spec.rings) {
@@ -788,8 +775,7 @@ AttackResilienceResult run_attack_resilience(const AttackResilienceSpec& spec,
 EntropyServiceResult run_entropy_service(const EntropyServiceSpec& spec,
                                          const Calibration& calibration,
                                          const ExperimentOptions& options) {
-  RINGENT_REQUIRE(spec.slots >= 1, "need at least one slot");
-  RINGENT_REQUIRE(spec.request_bytes >= 1, "need a positive request size");
+  spec.validate();
 
   service::PoolConfig pool_config;
   pool_config.slots = spec.slots;

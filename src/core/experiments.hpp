@@ -15,6 +15,14 @@
 // execution policy). The experiment registry (core/registry.hpp) and all
 // callers use the spec forms exclusively; the historical positional-knob
 // signatures have been removed.
+//
+// Every XSpec has the same serialized form, declared once as a field table
+// in core/spec_json.cpp: `spec_schema` ("ringent.spec.<experiment>/1"), a
+// total `to_json` (every field emitted), a strict `from_json` (unknown and
+// missing keys are named with the schema; ends in validate()), and
+// `validate()`, which checks each field's floor and ceiling plus the spec's
+// cross-field rules and throws PreconditionError. Every driver calls
+// validate() first, so a spec that parses is a spec that runs.
 #pragma once
 
 #include <cstdint>
@@ -77,14 +85,11 @@ struct VoltageSweepSpec {
   std::vector<double> voltages;
   std::size_t periods = 400;
 
-  /// Serialized spec ("voltage_sweep" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.voltage_sweep/1";
   Json to_json() const;
   static VoltageSweepSpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// Measure ring frequency at each supply level (Fn normalized at
@@ -114,14 +119,11 @@ struct TemperatureSweepSpec {
   std::vector<double> temperatures;
   std::size_t periods = 400;
 
-  /// Serialized spec ("temperature_sweep" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.temperature_sweep/1";
   Json to_json() const;
   static TemperatureSweepSpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// Frequency vs die temperature at nominal voltage (extension: the paper's
@@ -149,14 +151,11 @@ struct ProcessVariabilitySpec {
   unsigned board_count = 5;
   std::size_t periods = 400;
 
-  /// Serialized spec ("process_variability" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.process_variability/1";
   Json to_json() const;
   static ProcessVariabilitySpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// Load "the same bitstream" into `board_count` simulated boards and compare
@@ -187,14 +186,11 @@ struct JitterSweepSpec {
   unsigned divider_n = 8;         ///< divide by 2^n in the measurement method
   std::size_t mes_periods = 150;  ///< osc_mes periods per point
 
-  /// Serialized spec ("jitter_vs_stages" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.jitter_vs_stages/1";
   Json to_json() const;
   static JitterSweepSpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// Period jitter as a function of the number of stages, measured through the
@@ -221,14 +217,11 @@ struct ModeMapSpec {
   double charlie_scale = 1.0;
   std::size_t periods = 600;
 
-  /// Serialized spec ("mode_map" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.mode_map/1";
   Json to_json() const;
   static ModeMapSpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// Classify the steady-state mode for each token count of an L-stage STR
@@ -259,14 +252,11 @@ struct RestartSpec {
   unsigned restarts = 64;
   std::size_t edges = 256;
 
-  /// Serialized spec ("restart" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.restart/1";
   Json to_json() const;
   static RestartSpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// The restart technique (standard TRNG entropy validation): run the ring
@@ -306,14 +296,11 @@ struct CoherentSweepSpec {
   unsigned board_count = 5;
   std::size_t periods = 60000;
 
-  /// Serialized spec ("coherent_boards" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.coherent_boards/1";
   Json to_json() const;
   static CoherentSweepSpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// Build a coherent-sampling pair (ring + delay_scale-detuned sampling ring
@@ -341,14 +328,11 @@ struct DeterministicJitterSpec {
   double modulation_frequency_hz = 2.0e6;
   std::size_t periods = 8192;
 
-  /// Serialized spec ("deterministic_jitter" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.deterministic_jitter/1";
   Json to_json() const;
   static DeterministicJitterSpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// Apply a sinusoidal supply modulation and measure the deterministic tone
@@ -376,14 +360,11 @@ struct EntropyMapSpec {
   std::size_t restart_cols = 0;
   analysis::Entropy90bConfig battery;
 
-  /// Serialized spec ("entropy_map" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.entropy_map/1";
   Json to_json() const;
   static EntropyMapSpec from_json(const Json& json);
+  void validate() const;
 };
 
 struct EntropyMapCell {
@@ -447,14 +428,11 @@ struct AttackResilienceSpec {
   /// the nearest integer at both tone extremes and rides the attack out.
   static AttackResilienceSpec paper_default();
 
-  /// Serialized spec ("attack_resilience" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.attack_resilience/1";
   Json to_json() const;
   static AttackResilienceSpec from_json(const Json& json);
+  void validate() const;
 };
 
 /// One (ring, scenario) outcome.
@@ -542,14 +520,11 @@ struct EntropyServiceSpec {
 
   trng::DegradationPolicy policy;
 
-  /// Serialized spec ("entropy_service" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.entropy_service/1";
   Json to_json() const;
   static EntropyServiceSpec from_json(const Json& json);
+  void validate() const;
 };
 
 struct EntropyServiceResult {

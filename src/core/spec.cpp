@@ -58,17 +58,4 @@ std::string RingSpec::name() const {
   return std::string(to_string(kind)) + " " + std::to_string(stages) + "C";
 }
 
-void RingSpec::validate() const {
-  if (kind == RingKind::iro) {
-    RINGENT_REQUIRE(stages >= 3, "IRO needs at least 3 stages");
-    RINGENT_REQUIRE(tokens == 0, "tokens only apply to STRs");
-  } else {
-    RINGENT_REQUIRE(stages >= 3, "STR needs at least 3 stages");
-    const std::size_t nt = effective_tokens();
-    RINGENT_REQUIRE(ring::can_oscillate(stages, nt),
-                    "STR token count cannot oscillate (need positive even NT "
-                    "and at least one bubble)");
-  }
-}
-
 }  // namespace ringent::core

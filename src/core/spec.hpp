@@ -44,13 +44,15 @@ struct RingSpec {
   /// Paper-style display name, e.g. "STR 96C".
   std::string name() const;
 
-  /// Validate the spec (throws PreconditionError when unusable).
+  /// Validate the spec (throws PreconditionError when unusable): at least
+  /// 3 stages; an IRO carries no tokens; an STR's NT is positive, even and
+  /// leaves at least one bubble.
   void validate() const;
 
   /// Serialized form: {"kind", "stages", "tokens", "placement"} — every
   /// field always present so the canonical dump is total. from_json rejects
-  /// unknown keys and validates the result (implemented with the experiment
-  /// spec loaders in core/spec_json.cpp).
+  /// unknown keys and validates the result. Driven by the same field-table
+  /// codec as the experiment specs (core/spec_json.cpp).
   Json to_json() const;
   static RingSpec from_json(const Json& json);
 };

@@ -1,23 +1,40 @@
-// JSON (de)serialization of every experiment spec struct — the uniform
-// "invoke any experiment from a serialized document" surface behind
-// ExperimentDescriptor::run_spec and the campaign runner's content keys.
+// JSON (de)serialization and validation of every experiment spec struct —
+// the uniform "invoke any experiment from a serialized document" surface
+// behind ExperimentDescriptor::run_spec and the campaign runner's content
+// keys.
 //
-// Conventions:
-//  * to_json() is total: every field is always emitted, times as exact
-//    femtosecond integers ("*_fs"), enums as their lower-case serialized
-//    names. A "schema" key ("ringent.spec.<experiment>/1") comes first.
-//  * from_json() is strict: unknown keys are rejected by name, required
-//    keys are reported by name, and every error message carries the
-//    experiment's schema id — the message a CLI user sees for a bad
-//    --spec FILE. The "schema" key itself is optional in the input but must
-//    match when present (so a spec file cannot silently run the wrong
-//    experiment).
+// Each spec is declared once, as a field table: one row per member giving
+// its key, the member, whether the key is required, and the member's floor
+// and ceiling. The struct's own member initializers are the only defaults.
+// A small generic codec drives everything from that table:
+//  * to_json() is total: "schema" ("ringent.spec.<experiment>/1") first,
+//    then every field in table order; times as exact femtosecond integers
+//    ("*_fs"), enums as their lower-case serialized names.
+//  * from_json() is strict: unknown keys are rejected by name, required keys
+//    are reported by name, integers that do not fit the member's type are
+//    rejected, and every error message carries the experiment's schema id —
+//    the message a CLI user sees for a bad --spec FILE. The "schema" key
+//    itself is optional in the input but must match when present (so a spec
+//    file cannot silently run the wrong experiment). It ends in validate().
+//  * validate() checks every row's floor and ceiling (arrays must be
+//    non-empty and bound element-wise; nested objects validate themselves),
+//    then the cross-field rules a row cannot express. It throws
+//    PreconditionError, and every driver calls it first — so a spec that
+//    parses is a spec that runs.
 //  * from_json(to_json(s)).to_json() == to_json(s) byte-for-byte, which is
 //    what makes ringent::canonical_dump() of a spec a stable cache-key
-//    ingredient (fuzz/fuzz_campaign.cpp holds the plan/store loaders built
-//    on top of this to the same fixpoint contract).
+//    ingredient (fuzz/fuzz_campaign.cpp holds every registry canonicalizer
+//    to that fixpoint contract).
+// The tables are constexpr and parsing looks keys up by string_view, so a
+// canonicalize() call allocates nothing beyond the values it builds.
+#include <algorithm>
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -30,659 +47,529 @@ namespace ringent::core {
 
 namespace {
 
-/// Strict object reader: every consumed key is recorded; finish() rejects
-/// whatever was not consumed. All messages lead with the schema id.
-class SpecReader {
- public:
-  SpecReader(const Json& json, std::string_view schema)
-      : json_(json), schema_(schema) {
-    if (!json.is_object()) {
-      throw Error(context() + ": spec must be a JSON object");
-    }
-    if (const Json* declared = json.find("schema")) {
-      if (!declared->is_string() || declared->as_string() != schema_) {
-        throw Error(context() + ": spec declares a different schema" +
-                    (declared->is_string() ? " \"" + declared->as_string() +
-                                                 "\""
-                                           : ""));
-      }
-    }
-    consumed_.emplace_back("schema");
+// --- bounds -----------------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A row's admissible range; open or closed at either end. Integer, double
+/// and Time (in fs) members all compare through double.
+struct Bounds {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool admits(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
 
-  const Json* optional(const char* key) {
-    consumed_.emplace_back(key);
-    return json_.find(key);
+  std::string describe() const {
+    const auto num = [](double v) {
+      char text[32];
+      std::snprintf(text, sizeof text, "%g", v);
+      return std::string(text);
+    };
+    if (lo == -kInf && hi == kInf) return "a number";
+    if (hi == kInf) return (lo_open ? "> " : ">= ") + num(lo);
+    if (lo == -kInf) return (hi_open ? "< " : "<= ") + num(hi);
+    return std::string("in ") + (lo_open ? "(" : "[") + num(lo) + ", " +
+           num(hi) + (hi_open ? ")" : "]");
   }
-
-  const Json& required(const char* key) {
-    consumed_.emplace_back(key);
-    const Json* value = json_.find(key);
-    if (value == nullptr) {
-      throw Error(context() + ": missing required key \"" + key + "\"");
-    }
-    return *value;
-  }
-
-  /// Call last: reject every key the spec does not define, all at once.
-  void finish() const {
-    std::string unknown;
-    for (const auto& [key, value] : json_.items()) {
-      bool known = false;
-      for (const std::string& name : consumed_) {
-        if (key == name) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) unknown += (unknown.empty() ? "\"" : ", \"") + key + "\"";
-    }
-    if (!unknown.empty()) {
-      throw Error(context() + ": unknown key(s) " + unknown);
-    }
-  }
-
-  std::string context() const { return std::string(schema_); }
-
- private:
-  const Json& json_;
-  std::string_view schema_;
-  std::vector<std::string> consumed_;
 };
 
-std::uint64_t read_u64(const Json& value, const SpecReader& reader,
-                       const char* what, std::uint64_t min_value = 0) {
-  const std::int64_t v = value.as_integer();
-  if (v < 0 || static_cast<std::uint64_t>(v) < min_value) {
-    throw Error(reader.context() + ": \"" + what + "\" must be >= " +
-                std::to_string(min_value));
+constexpr Bounds at_least(double lo) { return {lo, kInf, false, false}; }
+constexpr Bounds above(double lo) { return {lo, kInf, true, false}; }
+constexpr Bounds closed(double lo, double hi) { return {lo, hi, false, false}; }
+constexpr Bounds open(double lo, double hi) { return {lo, hi, true, true}; }
+
+// --- errors -----------------------------------------------------------------
+
+/// A spec is a schema'd experiment spec or a bare RingSpec.
+template <typename Spec>
+constexpr bool has_schema = requires { Spec::spec_schema; };
+
+template <typename Spec>
+constexpr std::string_view context_of() {
+  if constexpr (has_schema<Spec>) {
+    return Spec::spec_schema;
+  } else {
+    return "ring spec";
   }
-  return static_cast<std::uint64_t>(v);
 }
 
-std::size_t read_size(const Json& value, const SpecReader& reader,
-                      const char* what, std::uint64_t min_value = 0) {
-  return static_cast<std::size_t>(read_u64(value, reader, what, min_value));
+[[noreturn]] void reject(std::string_view context, const std::string& what) {
+  throw PreconditionError(std::string(context) + ": " + what);
 }
 
-Time read_positive_time_fs(const Json& value, const SpecReader& reader,
-                           const char* what) {
-  const std::int64_t fs = value.as_integer();
-  if (fs <= 0) {
-    throw Error(reader.context() + ": \"" + what +
-                "\" must be a positive femtosecond count");
-  }
-  return Time::from_fs(fs);
-}
-
-std::vector<double> read_number_array(const Json& value,
-                                      const SpecReader& reader,
-                                      const char* what) {
-  if (!value.is_array() || value.size() == 0) {
-    throw Error(reader.context() + ": \"" + what +
-                "\" must be a non-empty array of numbers");
-  }
-  std::vector<double> out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    out.push_back(value.at(i).as_number());
-  }
-  return out;
-}
-
-std::vector<std::size_t> read_size_array(const Json& value,
-                                         const SpecReader& reader,
-                                         const char* what,
-                                         std::uint64_t min_value = 0) {
-  if (!value.is_array() || value.size() == 0) {
-    throw Error(reader.context() + ": \"" + what +
-                "\" must be a non-empty array of integers");
-  }
-  std::vector<std::size_t> out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    out.push_back(read_size(value.at(i), reader, what, min_value));
-  }
-  return out;
-}
-
-Json size_array_json(const std::vector<std::size_t>& values) {
-  Json out = Json::array();
-  for (const std::size_t v : values) {
-    out.push_back(static_cast<std::uint64_t>(v));
-  }
-  return out;
-}
-
-Json number_array_json(const std::vector<double>& values) {
-  Json out = Json::array();
-  for (const double v : values) out.push_back(v);
-  return out;
-}
-
-/// Wrap any ringent::Error from `fn` with the schema context, so a bad
-/// nested object (ring, policy, scenario...) still names the experiment the
-/// caller was loading.
-template <typename Fn>
-auto in_context(const SpecReader& reader, const char* what, Fn&& fn) {
+/// Run `fn`, re-throwing any ringent::Error as `E` with the context and key
+/// prepended, so a bad value (or nested object) still names the spec and
+/// the field the caller was loading.
+template <typename E = Error, typename Fn>
+void in_key(std::string_view context, std::string_view key, Fn&& fn) {
   try {
-    return fn();
+    fn();
   } catch (const Error& error) {
-    throw Error(reader.context() + ": in \"" + what + "\": " + error.what());
+    throw E(std::string(context) + ": in \"" + std::string(key) +
+            "\": " + error.what());
   }
 }
 
-}  // namespace
+// --- per-type codecs --------------------------------------------------------
+//
+// Codec<T>::emit / parse move one member to and from JSON. `scalar` (when
+// present) is the value a row's Bounds compare against.
 
-// --- RingSpec ---------------------------------------------------------------
+template <typename T>
+struct Codec;
 
-Json RingSpec::to_json() const {
+template <std::unsigned_integral T>
+struct Codec<T> {
+  static Json emit(T v) { return Json(static_cast<std::uint64_t>(v)); }
+  static T parse(const Json& json) {
+    const std::int64_t v = json.as_integer();
+    constexpr T max = std::numeric_limits<T>::max();
+    if (v < 0 || static_cast<std::uint64_t>(v) > max) {
+      throw Error("must be an integer in [0, " + std::to_string(max) + "]");
+    }
+    return static_cast<T>(v);
+  }
+  static double scalar(T v) { return static_cast<double>(v); }
+};
+
+template <>
+struct Codec<bool> {
+  static Json emit(bool v) { return Json(v); }
+  static bool parse(const Json& json) { return json.as_boolean(); }
+};
+
+template <>
+struct Codec<double> {
+  static Json emit(double v) { return Json(v); }
+  static double parse(const Json& json) { return json.as_number(); }
+  static double scalar(double v) { return v; }
+};
+
+template <>
+struct Codec<Time> {
+  static Json emit(Time v) { return Json(v.fs()); }
+  static Time parse(const Json& json) {
+    return Time::from_fs(json.as_integer());
+  }
+  static double scalar(Time v) { return static_cast<double>(v.fs()); }
+};
+
+template <>
+struct Codec<RingKind> {
+  static Json emit(RingKind v) {
+    return Json(v == RingKind::iro ? "iro" : "str");
+  }
+  static RingKind parse(const Json& json) {
+    return parse_ring_kind(json.as_string());
+  }
+};
+
+template <>
+struct Codec<ring::TokenPlacement> {
+  static Json emit(ring::TokenPlacement v) { return Json(core::to_string(v)); }
+  static ring::TokenPlacement parse(const Json& json) {
+    return parse_token_placement(json.as_string());
+  }
+};
+
+template <>
+struct Codec<service::ConditionerKind> {
+  static Json emit(service::ConditionerKind v) {
+    return Json(service::conditioner_kind_name(v));
+  }
+  static service::ConditionerKind parse(const Json& json) {
+    return service::parse_conditioner_kind(json.as_string());
+  }
+};
+
+/// Nested objects (RingSpec, Entropy90bConfig, DegradationPolicy, Regulator,
+/// FaultScenario) keep their own serializers.
+template <typename T>
+  requires requires(const T& v, const Json& json) {
+    { v.to_json() } -> std::same_as<Json>;
+    { T::from_json(json) } -> std::same_as<T>;
+  }
+struct Codec<T> {
+  static Json emit(const T& v) { return v.to_json(); }
+  static T parse(const Json& json) { return T::from_json(json); }
+};
+
+template <typename T>
+struct Codec<std::vector<T>> {
+  static Json emit(const std::vector<T>& values) {
+    Json out = Json::array();
+    for (const T& v : values) out.push_back(Codec<T>::emit(v));
+    return out;
+  }
+  static std::vector<T> parse(const Json& json) {
+    if (!json.is_array()) throw Error("must be an array");
+    std::vector<T> out;
+    out.reserve(json.size());
+    for (std::size_t i = 0; i < json.size(); ++i) {
+      out.push_back(Codec<T>::parse(json.at(i)));
+    }
+    return out;
+  }
+};
+
+template <typename T>
+constexpr bool is_vector = false;
+template <typename T>
+constexpr bool is_vector<std::vector<T>> = true;
+
+/// A row's range check on one member value: arrays are non-empty and bound
+/// element-wise, numbers against the Bounds, nested objects validate().
+template <typename T>
+void check_value(const T& value, const Bounds& bounds,
+                 std::string_view context, std::string_view key) {
+  if constexpr (is_vector<T>) {
+    if (value.empty()) {
+      reject(context, "\"" + std::string(key) + "\" must be a non-empty array");
+    }
+    for (const auto& element : value) {
+      check_value(element, bounds, context, key);
+    }
+  } else if constexpr (requires { Codec<T>::scalar(value); }) {
+    if (!bounds.admits(Codec<T>::scalar(value))) {
+      reject(context,
+             "\"" + std::string(key) + "\" must be " + bounds.describe());
+    }
+  } else if constexpr (requires { value.validate(); }) {
+    in_key<PreconditionError>(context, key, [&] { value.validate(); });
+  }
+}
+
+// --- field tables -----------------------------------------------------------
+
+constexpr bool required = true;
+constexpr bool optional = false;
+
+template <typename Spec>
+struct Field {
+  std::string_view key;
+  bool required;
+  Bounds bounds;
+  Json (*emit)(const Spec&);
+  void (*parse)(Spec&, const Json&);
+  void (*check)(const Spec&, const Field&, std::string_view context);
+};
+
+template <typename>
+struct MemberOf;
+template <typename S, typename T>
+struct MemberOf<T S::*> {
+  using Spec = S;
+  using Type = T;
+};
+
+/// One table row for `member`: its key, required or optional, and bounds.
+template <auto member>
+constexpr auto field(std::string_view key, bool is_required,
+                     Bounds bounds = {}) {
+  using Spec = typename MemberOf<decltype(member)>::Spec;
+  using T = typename MemberOf<decltype(member)>::Type;
+  return Field<Spec>{
+      key, is_required, bounds,
+      [](const Spec& spec) { return Codec<T>::emit(spec.*member); },
+      [](Spec& spec, const Json& json) {
+        spec.*member = Codec<T>::parse(json);
+      },
+      [](const Spec& spec, const Field<Spec>& self, std::string_view context) {
+        check_value(spec.*member, self.bounds, context, self.key);
+      }};
+}
+
+// --- the generic codec ------------------------------------------------------
+
+template <typename Spec, std::size_t N>
+Json write(const Spec& spec, const Field<Spec> (&fields)[N]) {
   Json json = Json::object();
-  json.set("kind", kind == RingKind::iro ? "iro" : "str");
-  json.set("stages", static_cast<std::uint64_t>(stages));
-  json.set("tokens", static_cast<std::uint64_t>(tokens));
-  json.set("placement", core::to_string(placement));
+  if constexpr (has_schema<Spec>) {
+    json.set("schema", std::string(Spec::spec_schema));
+  }
+  for (const Field<Spec>& f : fields) {
+    json.set(std::string(f.key), f.emit(spec));
+  }
   return json;
 }
 
-RingSpec RingSpec::from_json(const Json& json) {
-  if (!json.is_object()) throw Error("ring spec must be a JSON object");
-  RingSpec spec;
-  for (const auto& [key, value] : json.items()) {
-    if (key == "kind") {
-      spec.kind = parse_ring_kind(value.as_string());
-    } else if (key == "stages") {
-      const std::int64_t stages = value.as_integer();
-      if (stages < 0) throw Error("ring stages must be non-negative");
-      spec.stages = static_cast<std::size_t>(stages);
-    } else if (key == "tokens") {
-      const std::int64_t tokens = value.as_integer();
-      if (tokens < 0) throw Error("ring tokens must be non-negative");
-      spec.tokens = static_cast<std::size_t>(tokens);
-    } else if (key == "placement") {
-      spec.placement = parse_token_placement(value.as_string());
-    } else {
-      throw Error("unknown ring spec key \"" + key + "\"");
+template <typename Spec, std::size_t N>
+void check_fields(const Spec& spec, const Field<Spec> (&fields)[N]) {
+  for (const Field<Spec>& f : fields) f.check(spec, f, context_of<Spec>());
+}
+
+template <typename Spec, std::size_t N>
+Spec read(const Json& json, const Field<Spec> (&fields)[N]) {
+  constexpr std::string_view context = context_of<Spec>();
+  const auto fail = [&](const std::string& what) {
+    return Error(std::string(context) + ": " + what);
+  };
+  if (!json.is_object()) throw fail("spec must be a JSON object");
+  if constexpr (has_schema<Spec>) {
+    if (const Json* declared = json.find("schema")) {
+      if (!declared->is_string() || declared->as_string() != context) {
+        throw fail("spec declares a different schema" +
+                    (declared->is_string()
+                         ? " \"" + declared->as_string() + "\""
+                         : ""));
+      }
     }
   }
+  Spec spec;
+  for (const Field<Spec>& f : fields) {
+    const Json* value = json.find(f.key);
+    if (value == nullptr) {
+      if (f.required) {
+        throw fail("missing required key \"" + std::string(f.key) + "\"");
+      }
+      continue;
+    }
+    in_key(context, f.key, [&] { f.parse(spec, *value); });
+  }
+  std::string unknown;
+  for (const auto& [key, value] : json.items()) {
+    if (has_schema<Spec> && key == "schema") continue;
+    if (std::none_of(std::begin(fields), std::end(fields),
+                     [&](const Field<Spec>& f) { return f.key == key; })) {
+      unknown += (unknown.empty() ? "\"" : ", \"") + key + "\"";
+    }
+  }
+  if (!unknown.empty()) throw fail("unknown key(s) " + unknown);
   spec.validate();
   return spec;
 }
 
-namespace {
-
-std::vector<RingSpec> read_ring_array(const Json& value,
-                                      const SpecReader& reader,
-                                      const char* what) {
-  if (!value.is_array() || value.size() == 0) {
-    throw Error(reader.context() + ": \"" + what +
-                "\" must be a non-empty array of ring specs");
+/// Every ring a stage-count sweep of `kind` builds must be a valid design
+/// point (an STR needs a positive even NT = NB and at least one bubble).
+void check_stage_counts(std::string_view context, RingKind kind,
+                        const std::vector<std::size_t>& stage_counts) {
+  for (const std::size_t stages : stage_counts) {
+    in_key<PreconditionError>(context, "stage_counts", [&] {
+      RingSpec{kind, stages}.validate();
+    });
   }
-  std::vector<RingSpec> out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    out.push_back(in_context(reader, what,
-                             [&] { return RingSpec::from_json(value.at(i)); }));
-  }
-  return out;
 }
+
+// --- the tables: one per spec, rows in serialization order ----------------
+
+constexpr Field<RingSpec> kRing[] = {
+    field<&RingSpec::kind>("kind", optional),
+    field<&RingSpec::stages>("stages", optional, at_least(3)),
+    field<&RingSpec::tokens>("tokens", optional),
+    field<&RingSpec::placement>("placement", optional),
+};
+
+constexpr Field<VoltageSweepSpec> kVoltageSweep[] = {
+    field<&VoltageSweepSpec::ring>("ring", required),
+    field<&VoltageSweepSpec::voltages>("voltages", required),
+    field<&VoltageSweepSpec::periods>("periods", optional, at_least(2)),
+};
+
+constexpr Field<TemperatureSweepSpec> kTemperatureSweep[] = {
+    field<&TemperatureSweepSpec::ring>("ring", required),
+    field<&TemperatureSweepSpec::temperatures>("temperatures", required),
+    field<&TemperatureSweepSpec::periods>("periods", optional, at_least(2)),
+};
+
+constexpr Field<ProcessVariabilitySpec> kProcessVariability[] = {
+    field<&ProcessVariabilitySpec::ring>("ring", required),
+    field<&ProcessVariabilitySpec::board_count>("board_count", optional,
+                                                at_least(2)),
+    field<&ProcessVariabilitySpec::periods>("periods", optional, at_least(2)),
+};
+
+constexpr Field<JitterSweepSpec> kJitterSweep[] = {
+    field<&JitterSweepSpec::kind>("kind", required),
+    field<&JitterSweepSpec::stage_counts>("stage_counts", required,
+                                          at_least(3)),
+    field<&JitterSweepSpec::divider_n>("divider_n", optional, closed(1, 30)),
+    field<&JitterSweepSpec::mes_periods>("mes_periods", optional, at_least(2)),
+};
+
+constexpr Field<ModeMapSpec> kModeMap[] = {
+    field<&ModeMapSpec::stages>("stages", required, at_least(3)),
+    field<&ModeMapSpec::token_counts>("token_counts", required, at_least(1)),
+    field<&ModeMapSpec::placement>("placement", optional),
+    field<&ModeMapSpec::charlie_scale>("charlie_scale", optional, at_least(0)),
+    field<&ModeMapSpec::periods>("periods", optional, at_least(2)),
+};
+
+constexpr Field<RestartSpec> kRestart[] = {
+    field<&RestartSpec::ring>("ring", required),
+    field<&RestartSpec::restarts>("restarts", optional, at_least(8)),
+    field<&RestartSpec::edges>("edges", optional, at_least(8)),
+};
+
+constexpr Field<CoherentSweepSpec> kCoherentSweep[] = {
+    field<&CoherentSweepSpec::ring>("ring", required),
+    field<&CoherentSweepSpec::design_detune>("design_detune", required,
+                                             open(0, 0.2)),
+    field<&CoherentSweepSpec::board_count>("board_count", optional,
+                                           at_least(2)),
+    field<&CoherentSweepSpec::periods>("periods", optional, at_least(2)),
+};
+
+constexpr Field<DeterministicJitterSpec> kDeterministicJitter[] = {
+    field<&DeterministicJitterSpec::kind>("kind", required),
+    field<&DeterministicJitterSpec::stage_counts>("stage_counts", required,
+                                                  at_least(3)),
+    field<&DeterministicJitterSpec::modulation_amplitude_v>(
+        "modulation_amplitude_v", optional, at_least(0)),
+    field<&DeterministicJitterSpec::modulation_frequency_hz>(
+        "modulation_frequency_hz", optional, above(0)),
+    field<&DeterministicJitterSpec::periods>("periods", optional, at_least(2)),
+};
+
+constexpr Field<EntropyMapSpec> kEntropyMap[] = {
+    field<&EntropyMapSpec::kinds>("kinds", required),
+    field<&EntropyMapSpec::stage_counts>("stage_counts", required, at_least(3)),
+    field<&EntropyMapSpec::sampling_periods>("sampling_periods_fs", required,
+                                             above(0)),
+    field<&EntropyMapSpec::bits_per_cell>("bits_per_cell", optional,
+                                          at_least(2)),
+    field<&EntropyMapSpec::restart_rows>("restart_rows", optional),
+    field<&EntropyMapSpec::restart_cols>("restart_cols", optional),
+    field<&EntropyMapSpec::battery>("battery", optional),
+};
+
+constexpr Field<AttackResilienceSpec> kAttackResilience[] = {
+    field<&AttackResilienceSpec::rings>("rings", required),
+    field<&AttackResilienceSpec::scenarios>("scenarios", required),
+    field<&AttackResilienceSpec::sampling_period>("sampling_period_fs",
+                                                  required, above(0)),
+    field<&AttackResilienceSpec::total_bits>("total_bits", optional,
+                                             at_least(1)),
+    field<&AttackResilienceSpec::policy>("policy", optional),
+    field<&AttackResilienceSpec::regulator>("regulator", optional),
+    field<&AttackResilienceSpec::with_backup>("with_backup", optional),
+};
+
+constexpr Field<EntropyServiceSpec> kEntropyService[] = {
+    field<&EntropyServiceSpec::slots>("slots", required, at_least(1)),
+    field<&EntropyServiceSpec::raw_bits_per_slot>("raw_bits_per_slot",
+                                                  required, at_least(8)),
+    field<&EntropyServiceSpec::conditioner>("conditioner", optional),
+    field<&EntropyServiceSpec::conditioner_ratio>("conditioner_ratio",
+                                                  optional, at_least(1)),
+    field<&EntropyServiceSpec::ring_capacity>("ring_capacity", optional,
+                                              at_least(2)),
+    field<&EntropyServiceSpec::block_bytes>("block_bytes", optional,
+                                            at_least(1)),
+    field<&EntropyServiceSpec::request_bytes>("request_bytes", optional,
+                                              at_least(1)),
+    field<&EntropyServiceSpec::synthetic>("synthetic", optional),
+    field<&EntropyServiceSpec::ring>("ring", optional),
+    field<&EntropyServiceSpec::sampling_period>("sampling_period_fs", optional,
+                                                above(0)),
+    field<&EntropyServiceSpec::wait_budget_ms>("wait_budget_ms", optional),
+    field<&EntropyServiceSpec::policy>("policy", optional),
+};
 
 }  // namespace
 
-// --- VoltageSweepSpec -------------------------------------------------------
+// --- to_json / from_json: each spec's table run through the codec -------
 
-Json VoltageSweepSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("voltages", number_array_json(voltages));
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
+#define RINGENT_SPEC_CODEC(Spec, table)                        \
+  Json Spec::to_json() const { return write(*this, table); }   \
+  Spec Spec::from_json(const Json& json) { return read(json, table); }
 
-VoltageSweepSpec VoltageSweepSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  VoltageSweepSpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  spec.voltages = read_number_array(reader.required("voltages"), reader,
-                                    "voltages");
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
+RINGENT_SPEC_CODEC(RingSpec, kRing)
+RINGENT_SPEC_CODEC(VoltageSweepSpec, kVoltageSweep)
+RINGENT_SPEC_CODEC(TemperatureSweepSpec, kTemperatureSweep)
+RINGENT_SPEC_CODEC(ProcessVariabilitySpec, kProcessVariability)
+RINGENT_SPEC_CODEC(JitterSweepSpec, kJitterSweep)
+RINGENT_SPEC_CODEC(ModeMapSpec, kModeMap)
+RINGENT_SPEC_CODEC(RestartSpec, kRestart)
+RINGENT_SPEC_CODEC(CoherentSweepSpec, kCoherentSweep)
+RINGENT_SPEC_CODEC(DeterministicJitterSpec, kDeterministicJitter)
+RINGENT_SPEC_CODEC(EntropyMapSpec, kEntropyMap)
+RINGENT_SPEC_CODEC(AttackResilienceSpec, kAttackResilience)
+RINGENT_SPEC_CODEC(EntropyServiceSpec, kEntropyService)
+
+#undef RINGENT_SPEC_CODEC
+
+// --- validate(): the rows, then the cross-field rules ------------------------
+
+void RingSpec::validate() const {
+  check_fields(*this, kRing);
+  if (kind == RingKind::iro) {
+    if (tokens != 0) {
+      reject(context_of<RingSpec>(), "tokens only apply to STRs");
+    }
+  } else if (!ring::can_oscillate(stages, effective_tokens())) {
+    reject(context_of<RingSpec>(),
+           name() + " cannot oscillate with NT = " +
+               std::to_string(effective_tokens()) +
+               " (need positive even NT and at least one bubble)");
   }
-  reader.finish();
-  return spec;
 }
 
-// --- TemperatureSweepSpec ---------------------------------------------------
+void VoltageSweepSpec::validate() const { check_fields(*this, kVoltageSweep); }
 
-Json TemperatureSweepSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("temperatures", number_array_json(temperatures));
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-TemperatureSweepSpec TemperatureSweepSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  TemperatureSweepSpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  spec.temperatures = read_number_array(reader.required("temperatures"),
-                                        reader, "temperatures");
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
+void TemperatureSweepSpec::validate() const {
+  check_fields(*this, kTemperatureSweep);
+  if (std::none_of(temperatures.begin(), temperatures.end(),
+                   [](double t) { return std::abs(t - 25.0) < 1e-9; })) {
+    reject(spec_schema, "\"temperatures\" must include 25 C");
   }
-  reader.finish();
-  return spec;
 }
 
-// --- ProcessVariabilitySpec -------------------------------------------------
-
-Json ProcessVariabilitySpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("board_count", board_count);
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
+void ProcessVariabilitySpec::validate() const {
+  check_fields(*this, kProcessVariability);
 }
 
-ProcessVariabilitySpec ProcessVariabilitySpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  ProcessVariabilitySpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  if (const Json* boards = reader.optional("board_count")) {
-    spec.board_count =
-        static_cast<unsigned>(read_u64(*boards, reader, "board_count", 2));
-  }
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
+void JitterSweepSpec::validate() const {
+  check_fields(*this, kJitterSweep);
+  check_stage_counts(spec_schema, kind, stage_counts);
 }
 
-// --- JitterSweepSpec --------------------------------------------------------
-
-Json JitterSweepSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("kind", kind == RingKind::iro ? "iro" : "str");
-  json.set("stage_counts", size_array_json(stage_counts));
-  json.set("divider_n", divider_n);
-  json.set("mes_periods", static_cast<std::uint64_t>(mes_periods));
-  return json;
-}
-
-JitterSweepSpec JitterSweepSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  JitterSweepSpec spec;
-  spec.kind = in_context(reader, "kind", [&] {
-    return parse_ring_kind(reader.required("kind").as_string());
-  });
-  spec.stage_counts = read_size_array(reader.required("stage_counts"), reader,
-                                      "stage_counts", 3);
-  if (const Json* divider = reader.optional("divider_n")) {
-    const std::uint64_t n = read_u64(*divider, reader, "divider_n", 1);
-    if (n > 30) throw Error(reader.context() + ": \"divider_n\" must be <= 30");
-    spec.divider_n = static_cast<unsigned>(n);
-  }
-  if (const Json* periods = reader.optional("mes_periods")) {
-    spec.mes_periods = read_size(*periods, reader, "mes_periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- ModeMapSpec ------------------------------------------------------------
-
-Json ModeMapSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("stages", static_cast<std::uint64_t>(stages));
-  json.set("token_counts", size_array_json(token_counts));
-  json.set("placement", core::to_string(placement));
-  json.set("charlie_scale", charlie_scale);
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-ModeMapSpec ModeMapSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  ModeMapSpec spec;
-  spec.stages = read_size(reader.required("stages"), reader, "stages", 3);
-  spec.token_counts = read_size_array(reader.required("token_counts"), reader,
-                                      "token_counts", 1);
-  if (const Json* placement = reader.optional("placement")) {
-    spec.placement = in_context(reader, "placement", [&] {
-      return parse_token_placement(placement->as_string());
+void ModeMapSpec::validate() const {
+  check_fields(*this, kModeMap);
+  for (const std::size_t tokens : token_counts) {
+    in_key<PreconditionError>(spec_schema, "token_counts", [&] {
+      RingSpec{RingKind::str, stages, tokens, placement}.validate();
     });
   }
-  if (const Json* scale = reader.optional("charlie_scale")) {
-    spec.charlie_scale = scale->as_number();
-    if (!(spec.charlie_scale >= 0.0)) {
-      throw Error(reader.context() +
-                  ": \"charlie_scale\" must be non-negative");
-    }
-  }
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
 }
 
-// --- RestartSpec ------------------------------------------------------------
+void RestartSpec::validate() const { check_fields(*this, kRestart); }
 
-Json RestartSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("restarts", restarts);
-  json.set("edges", static_cast<std::uint64_t>(edges));
-  return json;
+void CoherentSweepSpec::validate() const {
+  check_fields(*this, kCoherentSweep);
 }
 
-RestartSpec RestartSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  RestartSpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  if (const Json* restarts = reader.optional("restarts")) {
-    spec.restarts =
-        static_cast<unsigned>(read_u64(*restarts, reader, "restarts", 8));
-  }
-  if (const Json* edges = reader.optional("edges")) {
-    spec.edges = read_size(*edges, reader, "edges", 8);
-  }
-  reader.finish();
-  return spec;
+void DeterministicJitterSpec::validate() const {
+  check_fields(*this, kDeterministicJitter);
+  check_stage_counts(spec_schema, kind, stage_counts);
 }
 
-// --- CoherentSweepSpec ------------------------------------------------------
-
-Json CoherentSweepSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("design_detune", design_detune);
-  json.set("board_count", board_count);
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-CoherentSweepSpec CoherentSweepSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  CoherentSweepSpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  spec.design_detune = reader.required("design_detune").as_number();
-  if (!(spec.design_detune > 0.0 && spec.design_detune < 0.2)) {
-    throw Error(reader.context() + ": \"design_detune\" must be in (0, 0.2)");
-  }
-  if (const Json* boards = reader.optional("board_count")) {
-    spec.board_count =
-        static_cast<unsigned>(read_u64(*boards, reader, "board_count", 1));
-  }
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- DeterministicJitterSpec ------------------------------------------------
-
-Json DeterministicJitterSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("kind", kind == RingKind::iro ? "iro" : "str");
-  json.set("stage_counts", size_array_json(stage_counts));
-  json.set("modulation_amplitude_v", modulation_amplitude_v);
-  json.set("modulation_frequency_hz", modulation_frequency_hz);
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-DeterministicJitterSpec DeterministicJitterSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  DeterministicJitterSpec spec;
-  spec.kind = in_context(reader, "kind", [&] {
-    return parse_ring_kind(reader.required("kind").as_string());
-  });
-  spec.stage_counts = read_size_array(reader.required("stage_counts"), reader,
-                                      "stage_counts", 3);
-  if (const Json* amp = reader.optional("modulation_amplitude_v")) {
-    spec.modulation_amplitude_v = amp->as_number();
-    if (!(spec.modulation_amplitude_v >= 0.0)) {
-      throw Error(reader.context() +
-                  ": \"modulation_amplitude_v\" must be non-negative");
-    }
-  }
-  if (const Json* freq = reader.optional("modulation_frequency_hz")) {
-    spec.modulation_frequency_hz = freq->as_number();
-    if (!(spec.modulation_frequency_hz > 0.0)) {
-      throw Error(reader.context() +
-                  ": \"modulation_frequency_hz\" must be positive");
-    }
-  }
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- EntropyMapSpec ---------------------------------------------------------
-
-Json EntropyMapSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  Json kind_list = Json::array();
+void EntropyMapSpec::validate() const {
+  check_fields(*this, kEntropyMap);
   for (const RingKind kind : kinds) {
-    kind_list.push_back(kind == RingKind::iro ? "iro" : "str");
+    check_stage_counts(spec_schema, kind, stage_counts);
   }
-  json.set("kinds", std::move(kind_list));
-  json.set("stage_counts", size_array_json(stage_counts));
-  Json period_list = Json::array();
-  for (const Time period : sampling_periods) period_list.push_back(period.fs());
-  json.set("sampling_periods_fs", std::move(period_list));
-  json.set("bits_per_cell", static_cast<std::uint64_t>(bits_per_cell));
-  json.set("restart_rows", static_cast<std::uint64_t>(restart_rows));
-  json.set("restart_cols", static_cast<std::uint64_t>(restart_cols));
-  json.set("battery", battery.to_json());
-  return json;
+  if ((restart_rows == 0) != (restart_cols == 0)) {
+    reject(spec_schema,
+           "restart_rows and restart_cols must be enabled together");
+  }
+  if (restart_rows != 0 && (restart_rows < 2 || restart_cols < 2)) {
+    reject(spec_schema, "restart validation needs a matrix of at least 2x2");
+  }
 }
 
-EntropyMapSpec EntropyMapSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  EntropyMapSpec spec;
-  const Json& kind_list = reader.required("kinds");
-  if (!kind_list.is_array() || kind_list.size() == 0) {
-    throw Error(reader.context() + ": \"kinds\" must be a non-empty array");
-  }
-  spec.kinds.clear();
-  for (std::size_t i = 0; i < kind_list.size(); ++i) {
-    spec.kinds.push_back(in_context(reader, "kinds", [&] {
-      return parse_ring_kind(kind_list.at(i).as_string());
-    }));
-  }
-  spec.stage_counts = read_size_array(reader.required("stage_counts"), reader,
-                                      "stage_counts", 3);
-  const Json& period_list = reader.required("sampling_periods_fs");
-  if (!period_list.is_array() || period_list.size() == 0) {
-    throw Error(reader.context() +
-                ": \"sampling_periods_fs\" must be a non-empty array");
-  }
-  for (std::size_t i = 0; i < period_list.size(); ++i) {
-    spec.sampling_periods.push_back(
-        read_positive_time_fs(period_list.at(i), reader,
-                              "sampling_periods_fs"));
-  }
-  if (const Json* bits = reader.optional("bits_per_cell")) {
-    spec.bits_per_cell = read_size(*bits, reader, "bits_per_cell", 2);
-  }
-  if (const Json* rows = reader.optional("restart_rows")) {
-    spec.restart_rows = read_size(*rows, reader, "restart_rows");
-  }
-  if (const Json* cols = reader.optional("restart_cols")) {
-    spec.restart_cols = read_size(*cols, reader, "restart_cols");
-  }
-  if ((spec.restart_rows == 0) != (spec.restart_cols == 0)) {
-    throw Error(reader.context() +
-                ": restart_rows and restart_cols must be enabled together");
-  }
-  if (spec.restart_rows != 0 &&
-      (spec.restart_rows < 2 || spec.restart_cols < 2)) {
-    throw Error(reader.context() +
-                ": restart validation needs a matrix of at least 2x2");
-  }
-  if (const Json* battery = reader.optional("battery")) {
-    spec.battery = in_context(reader, "battery", [&] {
-      return analysis::Entropy90bConfig::from_json(*battery);
-    });
-  }
-  reader.finish();
-  return spec;
+void AttackResilienceSpec::validate() const {
+  check_fields(*this, kAttackResilience);
 }
 
-// --- AttackResilienceSpec ---------------------------------------------------
-
-Json AttackResilienceSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  Json ring_list = Json::array();
-  for (const RingSpec& r : rings) ring_list.push_back(r.to_json());
-  json.set("rings", std::move(ring_list));
-  Json scenario_list = Json::array();
-  for (const noise::FaultScenario& s : scenarios) {
-    scenario_list.push_back(s.to_json());
+void EntropyServiceSpec::validate() const {
+  check_fields(*this, kEntropyService);
+  if ((ring_capacity & (ring_capacity - 1)) != 0) {
+    reject(spec_schema, "\"ring_capacity\" must be a power of two");
   }
-  json.set("scenarios", std::move(scenario_list));
-  json.set("sampling_period_fs", sampling_period.fs());
-  json.set("total_bits", static_cast<std::uint64_t>(total_bits));
-  json.set("policy", policy.to_json());
-  json.set("regulator", regulator.to_json());
-  json.set("with_backup", with_backup);
-  return json;
-}
-
-AttackResilienceSpec AttackResilienceSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  AttackResilienceSpec spec;
-  spec.rings = read_ring_array(reader.required("rings"), reader, "rings");
-  const Json& scenario_list = reader.required("scenarios");
-  if (!scenario_list.is_array() || scenario_list.size() == 0) {
-    throw Error(reader.context() +
-                ": \"scenarios\" must be a non-empty array");
-  }
-  spec.scenarios.clear();
-  for (std::size_t i = 0; i < scenario_list.size(); ++i) {
-    spec.scenarios.push_back(in_context(reader, "scenarios", [&] {
-      return noise::FaultScenario::from_json(scenario_list.at(i));
-    }));
-  }
-  spec.sampling_period = read_positive_time_fs(
-      reader.required("sampling_period_fs"), reader, "sampling_period_fs");
-  if (const Json* bits = reader.optional("total_bits")) {
-    spec.total_bits = read_size(*bits, reader, "total_bits", 1);
-  }
-  if (const Json* policy = reader.optional("policy")) {
-    spec.policy = in_context(reader, "policy", [&] {
-      return trng::DegradationPolicy::from_json(*policy);
-    });
-  }
-  if (const Json* regulator = reader.optional("regulator")) {
-    spec.regulator = in_context(reader, "regulator", [&] {
-      return fpga::Regulator::from_json(*regulator);
-    });
-  }
-  if (const Json* backup = reader.optional("with_backup")) {
-    spec.with_backup = backup->as_boolean();
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- EntropyServiceSpec -----------------------------------------------------
-
-Json EntropyServiceSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("slots", static_cast<std::uint64_t>(slots));
-  json.set("raw_bits_per_slot", raw_bits_per_slot);
-  json.set("conditioner", service::conditioner_kind_name(conditioner));
-  json.set("conditioner_ratio", static_cast<std::uint64_t>(conditioner_ratio));
-  json.set("ring_capacity", static_cast<std::uint64_t>(ring_capacity));
-  json.set("block_bytes", static_cast<std::uint64_t>(block_bytes));
-  json.set("request_bytes", static_cast<std::uint64_t>(request_bytes));
-  json.set("synthetic", synthetic);
-  json.set("ring", ring.to_json());
-  json.set("sampling_period_fs", sampling_period.fs());
-  json.set("wait_budget_ms", wait_budget_ms);
-  json.set("policy", policy.to_json());
-  return json;
-}
-
-EntropyServiceSpec EntropyServiceSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  EntropyServiceSpec spec;
-  spec.slots = read_size(reader.required("slots"), reader, "slots", 1);
-  spec.raw_bits_per_slot =
-      read_u64(reader.required("raw_bits_per_slot"), reader,
-               "raw_bits_per_slot", 8);
-  if (const Json* conditioner = reader.optional("conditioner")) {
-    spec.conditioner = in_context(reader, "conditioner", [&] {
-      return service::parse_conditioner_kind(conditioner->as_string());
-    });
-  }
-  if (const Json* ratio = reader.optional("conditioner_ratio")) {
-    spec.conditioner_ratio =
-        read_size(*ratio, reader, "conditioner_ratio", 1);
-  }
-  if (const Json* capacity = reader.optional("ring_capacity")) {
-    spec.ring_capacity = read_size(*capacity, reader, "ring_capacity", 2);
-    if ((spec.ring_capacity & (spec.ring_capacity - 1)) != 0) {
-      throw Error(reader.context() +
-                  ": \"ring_capacity\" must be a power of two");
-    }
-  }
-  if (const Json* block = reader.optional("block_bytes")) {
-    spec.block_bytes = read_size(*block, reader, "block_bytes", 1);
-  }
-  if (const Json* request = reader.optional("request_bytes")) {
-    spec.request_bytes = read_size(*request, reader, "request_bytes", 1);
-  }
-  if (const Json* synthetic = reader.optional("synthetic")) {
-    spec.synthetic = synthetic->as_boolean();
-  }
-  if (const Json* ring = reader.optional("ring")) {
-    spec.ring =
-        in_context(reader, "ring", [&] { return RingSpec::from_json(*ring); });
-  }
-  if (const Json* period = reader.optional("sampling_period_fs")) {
-    spec.sampling_period =
-        read_positive_time_fs(*period, reader, "sampling_period_fs");
-  }
-  if (const Json* budget = reader.optional("wait_budget_ms")) {
-    spec.wait_budget_ms = read_u64(*budget, reader, "wait_budget_ms");
-  }
-  if (const Json* policy = reader.optional("policy")) {
-    spec.policy = in_context(reader, "policy", [&] {
-      return trng::DegradationPolicy::from_json(*policy);
-    });
-  }
-  reader.finish();
-  return spec;
 }
 
 }  // namespace ringent::core

@@ -255,21 +255,80 @@ TEST(CampaignSpecs, MissingRequiredKeyIsRejected) {
   EXPECT_THROW(entry->canonicalize(spec), Error);
 }
 
-TEST(CampaignSpecs, DriverMinimumsAreEnforcedAtParseTime) {
-  // A spec that parses must also satisfy the driver's RINGENT_REQUIREs —
-  // the campaign runner relies on expand_plan() implying "will run".
-  const core::ExperimentDescriptor* restart = core::find_experiment("restart");
-  ASSERT_NE(restart, nullptr);
-  Json spec = restart->canonicalize(restart->default_spec());
-  spec.set("restarts", Json(std::int64_t(4)));  // driver floor is 8
-  EXPECT_THROW(restart->canonicalize(spec), Error);
+namespace {
 
-  const core::ExperimentDescriptor* coherent =
-      core::find_experiment("coherent_boards");
-  ASSERT_NE(coherent, nullptr);
-  Json detune = coherent->canonicalize(coherent->default_spec());
-  detune.set("design_detune", Json(0.5));  // driver ceiling is 0.2
-  EXPECT_THROW(coherent->canonicalize(detune), Error);
+/// The registry default of `experiment` with `overlay`'s keys set on top —
+/// what a campaign plan entry's spec overlay or grid axis produces.
+Json overlaid_default(const char* experiment, const char* overlay) {
+  const core::ExperimentDescriptor* entry = core::find_experiment(experiment);
+  EXPECT_NE(entry, nullptr) << experiment;
+  if (entry == nullptr) return Json::object();
+  Json spec = entry->default_spec();
+  const Json overrides = Json::parse(overlay);
+  for (const auto& [key, value] : overrides.items()) {
+    spec.set(key, value);
+  }
+  return spec;
+}
+
+/// Parse `overlay` onto the default of `experiment` and expect a rejection
+/// that names both the schema and `key`.
+void expect_rejected_naming(const char* experiment, const char* overlay,
+                            const char* key) {
+  const core::ExperimentDescriptor* entry = core::find_experiment(experiment);
+  ASSERT_NE(entry, nullptr) << experiment;
+  try {
+    entry->canonicalize(overlaid_default(experiment, overlay));
+    FAIL() << experiment << " " << overlay << ": accepted";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(entry->spec_schema), std::string::npos) << what;
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+  }
+}
+
+}  // namespace
+
+TEST(CampaignSpecs, DriverMinimumsAreEnforcedAtParseTime) {
+  // A spec that parses must also be one its driver runs — the campaign
+  // runner relies on expand_plan() implying "will run".
+  struct Case {
+    const char* experiment;
+    const char* overlay;
+    const char* key;  ///< the field the error must name
+  };
+  const Case cases[] = {
+      {"restart", R"({"restarts":4})", "restarts"},
+      {"coherent_boards", R"({"design_detune":0.5})", "design_detune"},
+      {"coherent_boards", R"({"board_count":1})", "board_count"},
+      {"jitter_vs_stages", R"({"kind":"str","stage_counts":[3]})",
+       "stage_counts"},
+      {"entropy_map", R"({"kinds":["str"],"stage_counts":[3]})",
+       "stage_counts"},
+      {"deterministic_jitter", R"({"kind":"str","stage_counts":[3]})",
+       "stage_counts"},
+      {"mode_map", R"({"stages":3,"token_counts":[1]})", "token_counts"},
+      {"mode_map", R"({"stages":8,"token_counts":[3]})", "token_counts"},
+      {"temperature_sweep", R"({"temperatures":[15,35]})", "temperatures"},
+      {"entropy_map", R"({"restart_rows":4,"restart_cols":0})",
+       "restart_cols"},
+      {"entropy_service", R"({"ring_capacity":100})", "ring_capacity"},
+  };
+  for (const Case& c : cases) {
+    expect_rejected_naming(c.experiment, c.overlay, c.key);
+  }
+}
+
+TEST(CampaignSpecs, BoardCountAboveUnsignedMaxIsRejected) {
+  // 2^32 + 2 must not wrap to 2 boards.
+  expect_rejected_naming("process_variability",
+                         R"({"board_count":4294967298})", "board_count");
+}
+
+TEST(CampaignSpecs, RestartCountAboveUnsignedMaxIsRejected) {
+  // 2^32 + 8 must not wrap to 8 restarts.
+  expect_rejected_naming("restart", R"({"restarts":4294967304})",
+                         "restarts");
 }
 
 TEST(CampaignSpecs, WrongSchemaIdIsRejected) {
