@@ -50,11 +50,9 @@ void BM_KernelEventThroughput(benchmark::State& state) {
 BENCHMARK(BM_KernelEventThroughput)->Arg(1)->Arg(16)->Arg(256);
 
 /// The same workload with metrics collection live: the delta vs
-/// BM_KernelEventThroughput is the whole price of the observability layer
-/// on the hottest path (per event: one counter bump in schedule_at, one in
-/// fire_one, one per queue push/pop — all relaxed fetch_adds on a
-/// thread-local cache line). With collection off the probes cost a single
-/// predicted-not-taken branch; BM_ParallelSweep guards that case.
+/// BM_KernelEventThroughput is the whole price of the counters on the
+/// hottest path. The kernel derives its counts once per run_events drain
+/// and publishes them then, so the two should measure the same.
 void BM_KernelEventThroughputMetrics(benchmark::State& state) {
   sim::metrics::set_enabled(true);
   sim::Kernel kernel;

@@ -8,19 +8,25 @@
 // kernel: one entry per recorded run, newest last, each mapping benchmark
 // name -> {ns_per_event, events_per_sec}. Only benchmarks that report an
 // items-per-second counter are recorded (for perf_kernel, "items" are
-// simulated events). The sha and date are passed in explicitly so this tool
-// stays a pure JSON transformer — no git or clock dependency, and reruns are
-// reproducible. See docs/architecture.md §Kernel performance for how the
+// simulated events). A report run with --benchmark_repetitions=N records
+// the median repetition plus {repetitions, cv} (coefficient of variation
+// of events_per_sec over the repetitions). The sha and date are passed in
+// explicitly so this tool stays a pure JSON transformer — no git or clock
+// dependency, and reruns are reproducible. See docs/architecture.md §Kernel performance for how the
 // numbers are meant to be (re)generated and read.
 //
 // --telemetry <file> additionally folds the newest "ringent.telemetry/1"
 // snapshot from that JSONL sink (as written by --telemetry/RINGENT_TELEMETRY
 // runs) into the recorded entry as quantile summaries, so the committed
 // trajectory can carry distribution shape next to the throughput numbers.
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/require.hpp"
@@ -109,7 +115,8 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    ringent::Json results = ringent::Json::object();
+    // name -> events_per_sec of every repetition, in report order.
+    std::vector<std::pair<std::string, std::vector<double>>> rates;
     for (std::size_t i = 0; i < benchmarks->size(); ++i) {
       const ringent::Json& row = benchmarks->at(i);
       const ringent::Json* name = row.find("name");
@@ -125,10 +132,35 @@ int main(int argc, char** argv) {
       }
       const double events_per_sec = items->as_number();
       if (events_per_sec <= 0.0) continue;
+      const auto same_name = [&](const auto& r) {
+        return r.first == name->as_string();
+      };
+      auto it = std::find_if(rates.begin(), rates.end(), same_name);
+      if (it == rates.end()) {
+        it = rates.emplace(rates.end(), name->as_string(),
+                           std::vector<double>{});
+      }
+      it->second.push_back(events_per_sec);
+    }
+
+    ringent::Json results = ringent::Json::object();
+    for (auto& [name, reps] : rates) {
+      std::sort(reps.begin(), reps.end());
+      const double events_per_sec = reps[reps.size() / 2];
       ringent::Json entry = ringent::Json::object();
       entry.set("ns_per_event", 1e9 / events_per_sec);
       entry.set("events_per_sec", events_per_sec);
-      results.set(name->as_string(), std::move(entry));
+      if (reps.size() > 1) {
+        double mean = 0.0;
+        for (const double r : reps) mean += r;
+        mean /= static_cast<double>(reps.size());
+        double var = 0.0;
+        for (const double r : reps) var += (r - mean) * (r - mean);
+        var /= static_cast<double>(reps.size() - 1);
+        entry.set("repetitions", static_cast<std::uint64_t>(reps.size()));
+        entry.set("cv", std::sqrt(var) / mean);
+      }
+      results.set(name, std::move(entry));
     }
     if (results.size() == 0) {
       std::cerr << bench_path << ": no benchmarks with items_per_second\n";

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <numeric>
 #include <optional>
 #include <string>
 
@@ -270,8 +271,19 @@ std::vector<JitterPoint> run_jitter_vs_stages(const JitterSweepSpec& sweep,
       stage_sweep_label(sweep.kind, sweep.stage_counts), options,
       sweep.stage_counts.size());
 
-  return sim::parallel_map(
-      sweep.stage_counts, options.jobs, [&](std::size_t stages) {
+  // A ring's cost is proportional to its stage count, and the pool hands out
+  // indices in order, so dispatch the longest rings first: a long ring
+  // started last would set the makespan. Seeds derive from the stage count,
+  // so the order changes no point; the points go back into spec order.
+  std::vector<std::size_t> order(sweep.stage_counts.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sweep.stage_counts[a] > sweep.stage_counts[b];
+                   });
+  std::vector<JitterPoint> longest_first = sim::parallel_map(
+      order, options.jobs, [&](std::size_t index) {
+        const std::size_t stages = sweep.stage_counts[index];
         const sim::trace::Span span("k=" + std::to_string(stages), "axis");
         const RingSpec spec = spec_for(sweep.kind, stages);
         BuildOptions build = base_build_options(options);
@@ -304,6 +316,11 @@ std::vector<JitterPoint> run_jitter_vs_stages(const JitterSweepSpec& sweep,
         point.sigma_direct_ps = describe(analysis::periods_ps(edges)).stddev();
         return point;
       });
+  std::vector<JitterPoint> points(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    points[order[i]] = std::move(longest_first[i]);
+  }
+  return points;
 }
 
 std::vector<ModeMapEntry> run_mode_map(const ModeMapSpec& map,

@@ -98,7 +98,7 @@ bool Str::enabled(std::size_t i) const {
 void Str::try_schedule(std::size_t i, Time now) {
   // Each eligibility check asks "does stage i hold a token facing a
   // bubble?" — the token-collision query of the handshake protocol.
-  sim::metrics::bump(sim::metrics::Counter::token_collision_checks);
+  kernel_.count(sim::metrics::Counter::token_collision_checks);
   if (scheduled_[i] || !enabled(i)) return;
 
   const Time tf = last_change_[prev(i)];  // token-side enabling event
@@ -114,7 +114,7 @@ void Str::try_schedule(std::size_t i, Time now) {
     if (config_.modulation != nullptr) {
       extra_ps += config_.modulation->offset_ps(now, i);
     }
-    sim::metrics::bump(sim::metrics::Counter::charlie_evaluations);
+    kernel_.count(sim::metrics::Counter::charlie_evaluations);
     fire_at = charlie_model_.fire_time_prescaled(
         tf, tr, last_change_[i], extra_ps, d_mean_scaled_[i],
         s_offset_scaled_[i], dch_scaled_[i]);
@@ -143,7 +143,7 @@ void Str::try_schedule(std::size_t i, Time now) {
     if (config_.modulation != nullptr) {
       extra_ps += config_.modulation->offset_ps(now, i);
     }
-    sim::metrics::bump(sim::metrics::Counter::charlie_evaluations);
+    kernel_.count(sim::metrics::Counter::charlie_evaluations);
     fire_at = charlie_model_.fire_time_prescaled(
         tf, tr, last_change_[i], extra_ps, d_mean_nom_ps_ * static_scale,
         s_offset_nom_ps_ * static_scale, dch_nom_ps_ * charlie_scale);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/require.hpp"
-#include "sim/metrics.hpp"
 
 namespace ringent::sim {
 
@@ -15,14 +14,12 @@ bool later_heap(const QueuedEvent& a, const QueuedEvent& b) {
 }  // namespace
 
 void BinaryHeapQueue::push(const QueuedEvent& event) {
-  metrics::bump(metrics::Counter::heap_pushes);
   heap_.push_back(event);
   std::push_heap(heap_.begin(), heap_.end(), later_heap);
 }
 
 QueuedEvent BinaryHeapQueue::pop_min() {
   RINGENT_REQUIRE(!heap_.empty(), "pop from empty queue");
-  metrics::bump(metrics::Counter::heap_pops);
   std::pop_heap(heap_.begin(), heap_.end(), later_heap);
   const QueuedEvent out = heap_.back();
   heap_.pop_back();
@@ -51,7 +48,6 @@ std::size_t CalendarQueue::bucket_of(Time t) const {
 }
 
 void CalendarQueue::push(const QueuedEvent& event) {
-  metrics::bump(metrics::Counter::calendar_pushes);
   buckets_[bucket_of(event.at)].push_back(event);
   ++size_;
   std::int64_t day = event.at.fs() / width_fs_;
@@ -127,7 +123,6 @@ const QueuedEvent& CalendarQueue::peek_min() {
 }
 
 QueuedEvent CalendarQueue::pop_min() {
-  metrics::bump(metrics::Counter::calendar_pops);
   find_min();
   auto& bucket = buckets_[min_bucket_];
   const QueuedEvent out = bucket[min_slot_];

@@ -34,7 +34,6 @@
 
 #include "common/require.hpp"
 #include "common/time.hpp"
-#include "sim/metrics.hpp"
 
 namespace ringent::sim {
 
@@ -129,7 +128,6 @@ class CalendarQueue final : public EventQueueBase {
 class FlatHeap4 {
  public:
   void push(const QueuedEvent& event) {
-    metrics::bump(metrics::Counter::heap_pushes);
     keys_.push_back(Key{event.at.fs(), event.seq});
     payload_.push_back(pack(event.node, event.tag));
     sift_up(keys_.size() - 1);
@@ -138,7 +136,6 @@ class FlatHeap4 {
   /// Precondition: !empty().
   QueuedEvent pop_min() {
     RINGENT_REQUIRE(!keys_.empty(), "pop from empty queue");
-    metrics::bump(metrics::Counter::heap_pops);
     const QueuedEvent out = make_event(keys_[0], payload_[0]);
     const Key last_key = keys_.back();
     const std::uint64_t last_payload = payload_.back();

@@ -24,13 +24,24 @@ std::uint64_t Kernel::run_events(std::uint64_t max_events) {
 
 void Kernel::reset_time() {
   if (kind_ == QueueKind::binary_heap) {
-    metrics::bump(metrics::Counter::events_cancelled, heap_.size());
+    count(metrics::Counter::events_cancelled, heap_.size());
     heap_.clear();
   } else {
-    metrics::bump(metrics::Counter::events_cancelled, calendar_.size());
+    count(metrics::Counter::events_cancelled, calendar_.size());
     calendar_.clear();
   }
   now_ = Time::zero();
+}
+
+void Kernel::publish_pending() {
+  if (metrics::enabled()) {
+    for (std::size_t i = 0; i < metrics::counter_count; ++i) {
+      if (pending_[i] != 0) {
+        metrics::bump(static_cast<metrics::Counter>(i), pending_[i]);
+      }
+    }
+  }
+  pending_.fill(0);
 }
 
 }  // namespace ringent::sim

@@ -17,11 +17,21 @@
 // simulation (every Oscillator — one ring per kernel) can instead use
 // run_until_on<P>(), which devirtualizes the fire call so a `final` ring
 // model inlines its event handler straight into the drain loop. Both paths
-// pop the identical (time, seq) sequence and bump the identical counters.
+// pop the identical (time, seq) sequence and produce the identical counts.
+//
+// Counting (sim/metrics.hpp) stays off the per-event path: inside a drain
+// processes count into a plain per-kernel array (Kernel::count), the
+// kernel adds its own counts (schedules and pushes from next_seq_, events
+// fired and pops from events_fired_) once per drain, and a guard publishes
+// the pending counts with one metrics::bump each when the drain exits —
+// normally or by an exception out of Process::fire. Outside a drain counts
+// are published at once, so a snapshot taken between runs is exact.
+//
 // The kernel does not own processes: a ring model owns its stages and
 // registers them for the duration of a run (see ring/iro.hpp, ring/str.hpp).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -84,7 +94,11 @@ class Kernel {
   void schedule_at(Time at, NodeId node, std::uint32_t tag = 0) {
     RINGENT_REQUIRE(node < processes_.size(), "unknown node id");
     RINGENT_REQUIRE(at >= now_, "cannot schedule in the past");
-    metrics::bump(metrics::Counter::events_scheduled);
+    if (!draining_) {
+      // A drain derives its schedules from next_seq_ when it ends.
+      metrics::bump(metrics::Counter::events_scheduled);
+      metrics::bump(push_counter());
+    }
     const QueuedEvent event{at, next_seq_++, node, tag};
     if (kind_ == QueueKind::binary_heap) {
       heap_.push(event);
@@ -92,6 +106,17 @@ class Kernel {
     } else {
       calendar_.push(event);
       telemetry::record(telemetry::Histogram::queue_depth, calendar_.size());
+    }
+  }
+
+  /// Count `n` occurrences of `counter` for sim::metrics. Inside a drain
+  /// this is a plain add, published when the drain exits; outside one it is
+  /// metrics::bump.
+  void count(metrics::Counter counter, std::uint64_t n = 1) {
+    if (draining_) {
+      pending_[static_cast<std::size_t>(counter)] += n;
+    } else {
+      metrics::bump(counter, n);
     }
   }
 
@@ -148,42 +173,86 @@ class Kernel {
   }
 
  private:
+  /// Scope of one drain: marks the kernel draining and, on exit (normal or
+  /// by exception), adds the drain's schedules (each one queue push) and
+  /// fired events (each one queue pop) to the pending counts and publishes
+  /// them.
+  class Drain {
+   public:
+    explicit Drain(Kernel& kernel)
+        : kernel_(kernel),
+          first_fired_(kernel.events_fired_),
+          first_seq_(kernel.next_seq_) {
+      RINGENT_REQUIRE(!kernel.draining_, "kernel drains do not nest");
+      kernel_.draining_ = true;
+    }
+    ~Drain() {
+      const std::uint64_t scheduled = kernel_.next_seq_ - first_seq_;
+      kernel_.count(metrics::Counter::events_scheduled, scheduled);
+      kernel_.count(kernel_.push_counter(), scheduled);
+      kernel_.count(metrics::Counter::events_fired, fired());
+      kernel_.count(kernel_.pop_counter(), fired());
+      kernel_.draining_ = false;
+      kernel_.publish_pending();
+    }
+    Drain(const Drain&) = delete;
+    Drain& operator=(const Drain&) = delete;
+
+    std::uint64_t fired() const {
+      return kernel_.events_fired_ - first_fired_;
+    }
+
+   private:
+    Kernel& kernel_;
+    std::uint64_t first_fired_;
+    std::uint64_t first_seq_;
+  };
+
+  metrics::Counter push_counter() const {
+    return kind_ == QueueKind::binary_heap ? metrics::Counter::heap_pushes
+                                           : metrics::Counter::calendar_pushes;
+  }
+  metrics::Counter pop_counter() const {
+    return kind_ == QueueKind::binary_heap ? metrics::Counter::heap_pops
+                                           : metrics::Counter::calendar_pops;
+  }
+
+  /// Bump every non-zero pending count once (when metrics are enabled) and
+  /// zero it either way.
+  void publish_pending();
+
   /// The shared drain loop, templated over the concrete queue type and the
   /// fire dispatcher: the generic run loops route by event.node through the
   /// virtual Process::fire, run_until_on passes a devirtualized handler.
   template <class Q, class Fire>
   std::uint64_t drain_until(Q& queue, Time t_end, const Fire& fire) {
     RINGENT_REQUIRE(t_end >= now_, "horizon in the past");
-    std::uint64_t fired = 0;
+    const Drain drain(*this);
     while (!queue.empty() && queue.min_at() <= t_end) {
-      const QueuedEvent event = queue.pop_min();
-      telemetry::record(telemetry::Histogram::event_gap_fs,
-                        static_cast<std::uint64_t>((event.at - now_).fs()));
-      now_ = event.at;
-      ++events_fired_;
-      metrics::bump(metrics::Counter::events_fired);
-      fire(event);
-      ++fired;
+      fire_next(queue, fire);
     }
     now_ = t_end;
-    return fired;
+    return drain.fired();
   }
 
   template <class Q, class Fire>
   std::uint64_t drain_events(Q& queue, std::uint64_t max_events,
                              const Fire& fire) {
-    std::uint64_t fired = 0;
-    while (fired < max_events && !queue.empty()) {
-      const QueuedEvent event = queue.pop_min();
-      telemetry::record(telemetry::Histogram::event_gap_fs,
-                        static_cast<std::uint64_t>((event.at - now_).fs()));
-      now_ = event.at;
-      ++events_fired_;
-      metrics::bump(metrics::Counter::events_fired);
-      fire(event);
-      ++fired;
+    const Drain drain(*this);
+    while (drain.fired() < max_events && !queue.empty()) {
+      fire_next(queue, fire);
     }
-    return fired;
+    return drain.fired();
+  }
+
+  template <class Q, class Fire>
+  void fire_next(Q& queue, const Fire& fire) {
+    const QueuedEvent event = queue.pop_min();
+    telemetry::record(telemetry::Histogram::event_gap_fs,
+                      static_cast<std::uint64_t>((event.at - now_).fs()));
+    now_ = event.at;
+    ++events_fired_;
+    fire(event);
   }
 
   std::vector<Process*> processes_;
@@ -193,6 +262,8 @@ class Kernel {
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_fired_ = 0;
+  bool draining_ = false;
+  std::array<std::uint64_t, metrics::counter_count> pending_{};
 };
 
 }  // namespace ringent::sim

@@ -4,17 +4,26 @@
 // evaluations) is instrumented with named counters. The design constraints,
 // in order:
 //
-//  1. Zero cost when off. Collection defaults to disabled; every probe is
-//     one relaxed atomic load and a predictable branch — measured < 2 % on
-//     BM_ParallelSweep (see bench/perf_kernel.cpp, BM_KernelEventThroughput
-//     metrics variants).
+//  1. Nothing per event. Ring models count into a plain per-kernel array
+//     (sim::Kernel::count), the kernel derives its own counts (schedules,
+//     queue pushes, events fired, queue pops) from its sequence and fired
+//     counters, and it publishes them here once per drain — one bump per
+//     non-zero counter, whether the drain returns or a Process throws. So
+//     an event costs the same with collection on or off. bump() itself,
+//     used by coarse-grained probes (pool tasks, health alarms, faults) and
+//     by the kernel's publication, is one relaxed load and a predictable
+//     branch when off (bench/perf_kernel.cpp prices the enabled path:
+//     BM_KernelEventThroughput vs its Metrics variant).
 //  2. No cross-thread contention when on. Sweeps shard whole simulations
 //     across pool workers (sim/parallel.hpp); a shared counter array would
-//     serialize them on cache-line ping-pong. Each thread therefore bumps
-//     its own relaxed-atomic block; snapshot() sums the blocks.
+//     serialize them on cache-line ping-pong. Each thread therefore
+//     publishes into its own relaxed-atomic block; snapshot() sums the
+//     blocks.
 //  3. Deterministic totals. Counters never feed back into the simulation,
-//     and a quiescent snapshot (no batch in flight) is exact — the golden
-//     tests hand-count event totals against it.
+//     and a quiescent snapshot (no drain in flight) is exact — the golden
+//     tests hand-count event totals against it. A kernel counts outside a
+//     drain (start-up schedules, reset_time) straight through, and a drain
+//     publishes only if collection is on when it ends.
 //
 // Phase timers accumulate wall and thread-CPU time under string labels
 // ("build", "run", "analyze"); ScopedPhase is the RAII probe. Timer state is
@@ -41,10 +50,10 @@ enum class Counter : std::size_t {
   events_scheduled,        ///< Kernel::schedule_at calls
   events_fired,            ///< events delivered to a Process
   events_cancelled,        ///< pending events dropped by Kernel::reset_time
-  heap_pushes,             ///< heap pushes (FlatHeap4 + BinaryHeapQueue)
-  heap_pops,               ///< heap pops (FlatHeap4 + BinaryHeapQueue)
-  calendar_pushes,         ///< CalendarQueue::push
-  calendar_pops,           ///< CalendarQueue::pop_min
+  heap_pushes,             ///< events scheduled into a kernel's FlatHeap4
+  heap_pops,               ///< events a kernel popped from its FlatHeap4
+  calendar_pushes,         ///< events scheduled into a kernel's CalendarQueue
+  calendar_pops,           ///< events a kernel popped from its CalendarQueue
   charlie_evaluations,     ///< CharlieModel::fire_time calls from the STR
   token_collision_checks,  ///< STR enabled()/schedule eligibility checks
   pool_tasks,              ///< tasks executed by sim::ThreadPool

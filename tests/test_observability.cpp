@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "cli.hpp"
@@ -206,6 +207,169 @@ TEST(Metrics, DeltaSinceSubtractsCountersAndPhases) {
   for (const auto& phase : delta.phases) {
     EXPECT_EQ(phase.calls, 1u) << phase.name;
   }
+}
+
+// --- deferred kernel counts -------------------------------------------------
+//
+// Inside a drain the kernel counts into a plain array and publishes it when
+// the drain exits (sim/kernel.hpp). These pin the edges of that contract.
+
+namespace {
+
+/// Self-rescheduling process with hooks for the k-th fire.
+class Ticker final : public sim::Process {
+ public:
+  void fire(sim::Kernel& kernel, std::uint32_t tag) override {
+    ++fires;
+    if (fires == throw_at) throw std::runtime_error("ticker fault");
+    if (fires == disable_at) metrics::set_enabled(false);
+    if (fires == nest_at) kernel.run_events(1);
+    kernel.schedule_in(1_ps, self, tag);
+  }
+  sim::NodeId self = sim::invalid_node;
+  std::uint64_t fires = 0;
+  std::uint64_t throw_at = 0;
+  std::uint64_t disable_at = 0;
+  std::uint64_t nest_at = 0;
+};
+
+struct TickerKernel {
+  TickerKernel() {
+    ticker.self = kernel.add_process(&ticker);
+    kernel.schedule_in(1_ps, ticker.self);
+  }
+  sim::Kernel kernel;
+  Ticker ticker;
+};
+
+enum class Route { run_until, run_until_on, run_events };
+
+metrics::Snapshot str_counts_by_route(Route route) {
+  sim::Kernel kernel;
+  ring::StrConfig config;
+  config.stages = 8;
+  config.charlie = ring::CharlieParams::symmetric(260_ps, 120_ps);
+  std::vector<std::unique_ptr<noise::NoiseSource>> bank;
+  for (std::size_t i = 0; i < config.stages; ++i) {
+    bank.push_back(std::make_unique<noise::GaussianNoise>(2.0, 900 + i));
+  }
+  ring::Str str(
+      kernel, config,
+      ring::make_initial_state(8, 4, ring::TokenPlacement::evenly_spread),
+      std::move(bank));
+  const metrics::Snapshot before = metrics::snapshot();
+  str.start();
+  const Time t_end = 300_ns;
+  switch (route) {
+    case Route::run_until:
+      kernel.run_until(t_end);
+      break;
+    case Route::run_until_on:
+      kernel.run_until_on(str, t_end);
+      break;
+    case Route::run_events:
+      // run_until(300 ns) on this ring fires 3156 events (pinned below),
+      // the same first 3156 events on every route.
+      kernel.run_events(3156);
+      break;
+  }
+  return metrics::snapshot().delta_since(before);
+}
+
+}  // namespace
+
+TEST(Metrics, ThrowingFirePublishesTheEventsFiredSoFar) {
+  const MetricsGuard guard;
+  TickerKernel sim;
+  sim.ticker.throw_at = 10;
+  EXPECT_THROW(sim.kernel.run_events(100), std::runtime_error);
+
+  // The throwing event was popped and delivered, so it counts as fired, as
+  // it did when every event was counted on its own.
+  metrics::Snapshot snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 10u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), 10u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 10u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pushes), 10u);
+  EXPECT_EQ(sim.kernel.events_fired(), 10u);
+
+  // The kernel left its drain: a schedule now is counted at once, and the
+  // next drain runs and publishes normally.
+  sim.kernel.schedule_in(1_ps, sim.ticker.self);
+  snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 11u);
+  EXPECT_EQ(sim.kernel.run_events(5), 5u);
+  snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 15u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), 15u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 16u);
+}
+
+TEST(Metrics, RunEventsAndRunUntilOnPublishTheSameTotalsAsRunUntil) {
+  const MetricsGuard guard;
+  const metrics::Snapshot until = str_counts_by_route(Route::run_until);
+  const metrics::Snapshot until_on = str_counts_by_route(Route::run_until_on);
+  const metrics::Snapshot events = str_counts_by_route(Route::run_events);
+  ASSERT_EQ(until.counter(metrics::Counter::events_fired), 3156u);
+  EXPECT_GT(until.counter(metrics::Counter::charlie_evaluations), 3156u);
+  for (std::size_t i = 0; i < metrics::counter_count; ++i) {
+    const auto name = metrics::counter_name(static_cast<metrics::Counter>(i));
+    EXPECT_EQ(until_on.counters[i], until.counters[i]) << name;
+    EXPECT_EQ(events.counters[i], until.counters[i]) << name;
+  }
+}
+
+TEST(Metrics, DrainEndingWhileDisabledPublishesNothingAndCarriesNothing) {
+  const MetricsGuard guard;
+  TickerKernel sim;  // its start-up schedule is counted at once
+  sim.ticker.disable_at = 20;
+  sim.kernel.run_events(50);
+  EXPECT_FALSE(metrics::enabled());
+  metrics::Snapshot snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 1u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 0u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), 0u);
+
+  // The dropped counts are gone, not deferred to the next drain.
+  metrics::set_enabled(true);
+  sim.kernel.run_events(7);
+  snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 7u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), 7u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 8u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pushes), 8u);
+}
+
+TEST(Metrics, SnapshotBeforeTheFirstRunSeesStartUpSchedules) {
+  const MetricsGuard guard;
+  sim::Kernel kernel;
+  ring::StrConfig config;
+  config.stages = 8;
+  config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
+  ring::Str str(kernel, config,
+                ring::make_initial_state(8, 4,
+                                         ring::TokenPlacement::evenly_spread),
+                {});
+  str.start();
+
+  // start() probes every stage once and schedules each enabled one; no run
+  // has published anything yet.
+  const metrics::Snapshot snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 8u);
+  EXPECT_GT(snap.counter(metrics::Counter::events_scheduled), 0u);
+  EXPECT_EQ(snap.counter(metrics::Counter::charlie_evaluations),
+            snap.counter(metrics::Counter::events_scheduled));
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pushes),
+            snap.counter(metrics::Counter::events_scheduled));
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 0u);
+}
+
+TEST(Metrics, NestedDrainIsRejectedAndTheOuterDrainStillPublishes) {
+  const MetricsGuard guard;
+  TickerKernel sim;
+  sim.ticker.nest_at = 3;
+  EXPECT_THROW(sim.kernel.run_events(10), PreconditionError);
+  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::events_fired), 3u);
 }
 
 // --- JSON value --------------------------------------------------------------
