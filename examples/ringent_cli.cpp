@@ -19,8 +19,8 @@
 // `run` dispatches through core::experiment_registry(): it executes the
 // named driver's small default spec — or, with --spec FILE, the JSON spec
 // document in FILE (unknown/missing keys are rejected with the experiment's
-// schema name) — with metrics on and prints the run manifest the driver
-// emitted (also written to RINGENT_OUT_DIR or cwd).
+// schema name) — and prints the run manifest run_spec returned, which it
+// also writes to RINGENT_OUT_DIR or cwd.
 // --telemetry streams a "ringent.telemetry/1" snapshot of the run to FILE;
 // --metrics additionally prints the full counter/phase/histogram breakdown
 // as a human-readable table on stderr (stdout keeps the stable manifest
@@ -507,6 +507,7 @@ int cmd_run(const Args& args) {
                   static_cast<unsigned long long>(value));
     }
   }
+  write_run_manifest(manifest);
   std::printf("  manifest: %s.manifest.json (in RINGENT_OUT_DIR or cwd)\n",
               manifest.experiment.c_str());
   if (!telemetry.empty()) {

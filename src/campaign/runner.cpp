@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <fstream>
+#include <mutex>
+#include <string>
 #include <unordered_set>
 
 #include "common/require.hpp"
@@ -14,16 +16,20 @@ namespace ringent::campaign {
 namespace {
 
 /// Parallel cache scan: cached[i] = cell i has a valid record. Pure file
-/// reads, so thread fan-out is safe (unlike execution, which is
-/// process-global — see runner.hpp).
+/// reads.
 std::vector<char> scan_cached(const std::vector<CampaignCell>& cells,
-                              const ResultStore& store, std::size_t jobs) {
+                              const ResultStore& store,
+                              sim::ThreadPool& pool) {
   std::vector<char> cached(cells.size(), 0);
-  sim::ThreadPool pool(jobs);
   pool.for_each_index(cells.size(), [&](std::size_t i) {
     cached[i] = store.has_valid(cells[i].key) ? 1 : 0;
   });
   return cached;
+}
+
+std::string progress_line(const char* verb, const CampaignCell& cell) {
+  return std::string(verb) + cell.key.substr(0, 12) + "  " + cell.experiment +
+         " seed=" + std::to_string(cell.seed);
 }
 
 }  // namespace
@@ -39,60 +45,99 @@ CampaignReport run_campaign(const CampaignPlan& plan, const ResultStore& store,
       core::find_device_profile(plan.device);
 
   const std::vector<CampaignCell> cells = expand_plan(plan);
-  const std::vector<char> cached = scan_cached(cells, store, options.jobs);
+  sim::ThreadPool pool(options.jobs);
+  const std::vector<char> cached = scan_cached(cells, store, pool);
 
+  // What this call does with each cell: the first max_cells uncached cells
+  // of the shard run now; the other shards' cells and the rest are left.
+  enum class Cell : char { left, cached, running, done };
+  std::vector<Cell> state(cells.size(), Cell::left);
+  std::vector<std::size_t> to_run;
   CampaignReport report;
   report.planned = cells.size();
-  bool wrote_any = false;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i % options.shard_count != options.shard_index) continue;
+  for (std::size_t i = options.shard_index; i < cells.size();
+       i += options.shard_count) {
     ++report.in_shard;
-    const CampaignCell& cell = cells[i];
     if (cached[i]) {
+      state[i] = Cell::cached;
       ++report.cached;
-      if (options.progress) {
-        options.progress("cached   " + cell.key.substr(0, 12) + "  " +
-                         cell.experiment + " seed=" +
-                         std::to_string(cell.seed));
-      }
-      continue;
-    }
-    if (options.max_cells != 0 && report.executed >= options.max_cells) {
+    } else if (options.max_cells == 0 || to_run.size() < options.max_cells) {
+      state[i] = Cell::running;
+      to_run.push_back(i);
+    } else {
       ++report.remaining;
-      continue;
-    }
-
-    const core::ExperimentDescriptor* descriptor =
-        core::find_experiment(cell.experiment);
-    RINGENT_REQUIRE(descriptor != nullptr,
-                    "expand_plan returned an unknown experiment");
-    core::ExperimentOptions experiment_options;
-    experiment_options.seed = cell.seed;
-    experiment_options.jobs = options.jobs;
-    const core::RunManifest manifest =
-        descriptor->run_spec(cell.spec, calibration, experiment_options);
-
-    CellRecord record;
-    record.key = cell.key;
-    record.experiment = cell.experiment;
-    record.spec_schema = cell.schema;
-    record.spec = cell.spec;
-    record.seed = cell.seed;
-    record.device = cell.device;
-    record.manifest = normalize_manifest(manifest);
-    store.put(record);
-    // Heal/extend the index after every cell: an interruption anywhere
-    // leaves an index that describes exactly the valid cells on disk.
-    store.rebuild_index();
-    wrote_any = true;
-    ++report.executed;
-    if (options.progress) {
-      options.progress("executed " + cell.key.substr(0, 12) + "  " +
-                       cell.experiment + " seed=" + std::to_string(cell.seed));
     }
   }
-  if (!wrote_any) {
-    // Nothing executed (fully cached run, or max_cells == 0 shard slice):
+
+  // Cells finish in any order; they are committed — index rebuilt, progress
+  // reported — in expanded order, by whichever thread finishes the cell the
+  // commit cursor waits on.
+  std::mutex commit_mutex;
+  std::size_t cursor = 0;
+  const auto commit_ready = [&] {
+    std::vector<std::string> lines;
+    bool executed_any = false;
+    for (; cursor < cells.size() && state[cursor] != Cell::running;
+         ++cursor) {
+      if (state[cursor] == Cell::cached) {
+        lines.push_back(progress_line("cached   ", cells[cursor]));
+      } else if (state[cursor] == Cell::done) {
+        lines.push_back(progress_line("executed ", cells[cursor]));
+        executed_any = true;
+      }
+    }
+    // Heal/extend the index before reporting a cell: an interruption
+    // anywhere leaves an index that describes the valid cells on disk.
+    if (executed_any) store.rebuild_index();
+    if (options.progress) {
+      for (const std::string& line : lines) options.progress(line);
+    }
+  };
+  {
+    const std::lock_guard<std::mutex> lock(commit_mutex);
+    commit_ready();
+  }
+
+  try {
+    pool.for_each_index(to_run.size(), [&](std::size_t k) {
+      const CampaignCell& cell = cells[to_run[k]];
+      const core::ExperimentDescriptor* descriptor =
+          core::find_experiment(cell.experiment);
+      RINGENT_REQUIRE(descriptor != nullptr,
+                      "expand_plan returned an unknown experiment");
+      core::ExperimentOptions experiment_options;
+      experiment_options.seed = cell.seed;
+      experiment_options.jobs = options.jobs;
+      const core::RunManifest manifest =
+          descriptor->run_spec(cell.spec, calibration, experiment_options);
+
+      CellRecord record;
+      record.key = cell.key;
+      record.experiment = cell.experiment;
+      record.spec_schema = cell.schema;
+      record.spec = cell.spec;
+      record.seed = cell.seed;
+      record.device = cell.device;
+      record.manifest = normalize_manifest(manifest);
+      store.put(record);
+
+      const std::lock_guard<std::mutex> lock(commit_mutex);
+      state[to_run[k]] = Cell::done;
+      ++report.executed;
+      commit_ready();
+    });
+  } catch (...) {
+    // The cells that finished are on disk; index them before the lowest
+    // failing cell's error propagates. A failure to index loses nothing
+    // the next run's scan would not heal, so the cell's error wins.
+    try {
+      store.rebuild_index();
+    } catch (...) {
+    }
+    throw;
+  }
+  if (to_run.empty()) {
+    // Nothing executed (fully cached run, or an empty shard slice):
     // still make sure the index exists and reflects the store.
     store.rebuild_index();
   }
@@ -102,7 +147,8 @@ CampaignReport run_campaign(const CampaignPlan& plan, const ResultStore& store,
 CampaignReport campaign_status(const CampaignPlan& plan,
                                const ResultStore& store) {
   const std::vector<CampaignCell> cells = expand_plan(plan);
-  const std::vector<char> cached = scan_cached(cells, store, 0);
+  sim::ThreadPool pool(0);
+  const std::vector<char> cached = scan_cached(cells, store, pool);
   CampaignReport report;
   report.planned = cells.size();
   report.in_shard = cells.size();

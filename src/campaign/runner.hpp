@@ -2,22 +2,29 @@
 // already has a valid record, run the rest, and keep the store healed.
 //
 // Execution discipline:
-//  * The cache-validation scan (does each cell's key have a valid record?)
-//    is embarrassingly parallel file I/O and fans out via sim::ThreadPool.
-//  * Cell EXECUTION is sequential within a process: run manifests are
-//    captured from a process-global metrics snapshot (core/experiments.cpp
-//    DriverScope), so two drivers running concurrently in one process would
-//    corrupt each other's counter deltas. Each cell still parallelizes
-//    internally over options.jobs, and whole-campaign scale-out is
-//    multi-process: `--shard i/N` assigns cell c to the process with
-//    c % N == i, cells are written under content keys (no cross-shard
-//    conflicts), and every shard rewrites the index it can prove.
+//  * One sim::ThreadPool of `jobs` threads per run: it scans the cache (pure
+//    file reads) and then runs this shard's uncached cells as one batch.
+//    Each cell's driver submits its own sweep to the same pool
+//    (sim/parallel.hpp), so cells run side by side and one cell's long
+//    tail does not idle the other threads, while at most `jobs` simulations
+//    are ever in flight. jobs 1 runs the cells one after another.
+//  * Every cell runs in a metrics context of its own (core/registry.hpp
+//    run_spec), so its record holds exactly its own counters whatever runs
+//    beside it. Each record is put as soon as its cell finishes; the index
+//    rebuild and the progress line follow in expanded order, whichever
+//    order the cells finish in.
+//  * If cells throw, the cells in flight finish and are stored, the index
+//    is rebuilt, and the lowest-index failure is rethrown.
+//  * Whole-campaign scale-out is multi-process: `--shard i/N` assigns cell
+//    c to the process with c % N == i, cells are written under content
+//    keys (no cross-shard conflicts), and every shard rewrites the index it
+//    can prove.
 //  * Resume is implicit: a killed run leaves complete cell files (writes
-//    are atomic) plus at most one torn file; the next run's scan treats
-//    torn as missing, re-executes exactly the unproven cells and rewrites
-//    the index — the final store is byte-identical to an uninterrupted
-//    run's (normalized manifests make cell bytes machine- and
-//    jobs-independent).
+//    are atomic, each through a temp file of its own) plus at most one
+//    torn file per cell in flight; the next run's scan treats torn as
+//    missing, re-executes exactly the unproven cells and rewrites the
+//    index — the final store is byte-identical to an uninterrupted run's
+//    (normalized manifests make cell bytes machine- and jobs-independent).
 #pragma once
 
 #include <cstddef>
@@ -36,16 +43,18 @@ struct CampaignRunOptions {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
-  /// Worker threads inside each cell's driver (ExperimentOptions::jobs).
+  /// Width of the pool that runs the cells and every sweep inside them
+  /// (also each cell's ExperimentOptions::jobs). 0 = sim::default_jobs().
   std::size_t jobs = 0;
 
-  /// Stop after executing this many cells (cached hits don't count);
-  /// 0 = no limit. The interrupted-resume tests use this as a deterministic
-  /// stand-in for a mid-campaign SIGKILL.
+  /// Execute only the first this-many uncached cells of the shard (cached
+  /// hits don't count); 0 = no limit. The interrupted-resume tests use this
+  /// as a deterministic stand-in for a mid-campaign SIGKILL.
   std::size_t max_cells = 0;
 
   /// Optional per-cell progress sink (one line per cell, e.g. the CLI's
-  /// stdout). Null = silent.
+  /// stdout), called in expanded order and never concurrently, though not
+  /// necessarily on the calling thread. Null = silent.
   std::function<void(const std::string&)> progress;
 };
 
@@ -62,9 +71,10 @@ struct CampaignReport {
 
 /// Run `plan` against `store` (see file comment for the discipline).
 /// Throws ringent::Error on unknown experiments/devices, invalid shard
-/// options, or store I/O failure. The index is rewritten after every
-/// executed cell and once at the end, so an interruption at any point
-/// leaves an index describing exactly the valid cells on disk.
+/// options, or store I/O failure, and rethrows the lowest-index cell
+/// failure. The index is rewritten as cells commit and once at the end, so
+/// an interruption at any point leaves an index describing the valid cells
+/// on disk as of its last rewrite.
 CampaignReport run_campaign(const CampaignPlan& plan, const ResultStore& store,
                             const CampaignRunOptions& options = {});
 

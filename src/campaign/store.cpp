@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -195,10 +197,14 @@ std::optional<std::string> read_file(const std::string& path) {
 /// Write `content` to `path` atomically: temp file in the same directory,
 /// flushed and closed, then renamed over the target. Readers never observe
 /// a half-written file through the final name. The temp name carries the
-/// pid so concurrent --shard processes rewriting the same index cannot
-/// truncate each other's in-flight temp file.
+/// pid and a per-process sequence number, so no two writers — concurrent
+/// --shard processes, or concurrent cells of one process — ever share (and
+/// truncate) one in-flight temp file.
 void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  static std::atomic<std::uint64_t> sequence{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw Error("cannot write " + tmp);

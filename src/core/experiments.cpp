@@ -40,42 +40,52 @@ RingSpec spec_for(RingKind kind, std::size_t stages) {
 }
 
 /// Observability bracket around one driver invocation: a "driver" trace span
-/// for the whole call; when metrics collection is on, a run manifest
-/// carrying the counter/phase delta attributable to this run; and when a
-/// telemetry sink is configured, one "ringent.telemetry/1" snapshot with the
-/// histogram delta and any stream observables the driver published. Both are
-/// written from the destructor, i.e. after the result is complete, and the
-/// histogram summaries are embedded in the manifest when both are on.
+/// for the whole call and, when anyone will read it, a fresh metrics
+/// RunContext installed for the driver's duration (its pool tasks inherit
+/// it), from which the run manifest is built. The manifest goes to
+/// options.manifest_out when set, else — when the driver runs in the root
+/// context and that is collecting — to a manifest file (write_run_manifest).
+/// When a telemetry sink is configured, one "ringent.telemetry/1" snapshot
+/// with the histogram delta and any stream observables the driver published
+/// is appended too, and its summaries embedded in the manifest; telemetry is
+/// process-wide, so the delta covers every run in flight meanwhile. All of
+/// it happens in the destructor, after the result is complete; the run's
+/// counts then fold into the enclosing context if that one is counting.
 class DriverScope {
  public:
   DriverScope(std::string experiment, std::string spec,
               const ExperimentOptions& options, std::size_t tasks)
       : span_(experiment, "driver"),
-        active_(sim::metrics::enabled()),
+        manifest_out_(options.manifest_out),
+        parent_counting_(sim::metrics::counting()),
+        write_file_(manifest_out_ == nullptr &&
+                    sim::metrics::installed_context() == nullptr &&
+                    parent_counting_),
         telemetry_active_(telemetry_active()) {
-    if (!active_ && !telemetry_active_) return;
+    if (!on()) return;
     manifest_.experiment = std::move(experiment);
     manifest_.spec = std::move(spec);
     manifest_.seed = options.seed;
     manifest_.jobs = sim::resolve_jobs(options.jobs);
     manifest_.tasks = tasks;
-    before_ = sim::metrics::snapshot();
     if (telemetry_active_) telemetry_before_ = sim::telemetry::snapshot();
     wall_start_ = sim::metrics::wall_seconds();
-    cpu_start_ = sim::metrics::process_cpu_seconds();
+    parent_ = &sim::metrics::current_context();
+    scope_.emplace(&context_);
   }
 
   DriverScope(const DriverScope&) = delete;
   DriverScope& operator=(const DriverScope&) = delete;
 
   ~DriverScope() {
-    if (!active_ && !telemetry_active_) return;
+    if (!on()) return;
+    scope_.reset();  // charges this thread's CPU time to the run
     manifest_.wall_ms = (sim::metrics::wall_seconds() - wall_start_) * 1e3;
-    manifest_.cpu_ms =
-        (sim::metrics::process_cpu_seconds() - cpu_start_) * 1e3;
-    manifest_.metrics = sim::metrics::snapshot().delta_since(before_);
+    manifest_.cpu_ms = context_.cpu_seconds() * 1e3;
+    manifest_.metrics = context_.snapshot();
     manifest_.version = std::string(version_string());
     try {
+      if (parent_counting_) parent_->merge(context_);
       if (telemetry_active_) {
         const TelemetrySnapshot snapshot = collect_telemetry(
             manifest_.experiment,
@@ -84,7 +94,11 @@ class DriverScope {
         manifest_.telemetry = snapshot.summaries();
         append_telemetry_snapshot(snapshot);
       }
-      if (active_) write_run_manifest(manifest_);
+      if (manifest_out_ != nullptr) {
+        *manifest_out_ = manifest_;
+      } else if (write_file_) {
+        write_run_manifest(manifest_);
+      }
     } catch (const std::exception& error) {
       // A destructor must not throw; a manifest or snapshot that cannot be
       // written is diagnostic output lost, not a failed experiment.
@@ -94,14 +108,21 @@ class DriverScope {
   }
 
  private:
+  bool on() const {
+    return manifest_out_ != nullptr || parent_counting_ || telemetry_active_;
+  }
+
   sim::trace::Span span_;
-  bool active_ = false;
+  RunManifest* manifest_out_ = nullptr;
+  bool parent_counting_ = false;
+  bool write_file_ = false;
   bool telemetry_active_ = false;
   RunManifest manifest_;
-  sim::metrics::Snapshot before_;
+  sim::metrics::RunContext context_;
+  sim::metrics::RunContext* parent_ = nullptr;
+  std::optional<sim::metrics::ContextScope> scope_;
   sim::telemetry::Snapshot telemetry_before_;
   double wall_start_ = 0.0;
-  double cpu_start_ = 0.0;
 };
 
 std::string stage_sweep_label(RingKind kind,

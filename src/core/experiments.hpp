@@ -43,6 +43,8 @@
 
 namespace ringent::core {
 
+struct RunManifest;
+
 struct ExperimentOptions {
   std::uint64_t seed = 20120312;  ///< master seed (DATE 2012 dates)
   bool with_noise = true;         ///< dynamic Gaussian noise on/off
@@ -61,6 +63,13 @@ struct ExperimentOptions {
   /// device. Jitter measurements default to board 0, like the paper's
   /// single-board oscilloscope session.
   int board_index = -1;
+
+  /// Where the driver stores its run manifest (core/export.hpp), built from
+  /// the run's own metrics context. Null = write it to a manifest file, and
+  /// only when the root metrics context is collecting (the benches'
+  /// --metrics path). The registry's run_spec points this at the manifest
+  /// it returns.
+  RunManifest* manifest_out = nullptr;
 };
 
 // --- Fig. 8 / Table I: sensitivity to voltage variations -------------------

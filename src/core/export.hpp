@@ -7,10 +7,12 @@
 // build core::Table objects anyway, and artifact() writes table.csv() plus a
 // provenance header (experiment id, seed, library version).
 //
-// Run manifests are the observability companion: when metrics collection is
-// on (sim/metrics.hpp), every experiment driver emits one RunManifest —
-// spec, master seed, resolved jobs, wall/CPU totals, per-phase timers and
-// the counter delta attributable to that run — serialized as
+// Run manifests are the observability companion: every experiment driver
+// runs in a metrics context of its own (sim/metrics.hpp) and builds one
+// RunManifest from it — spec, master seed, resolved jobs, wall/CPU totals,
+// per-phase timers and the run's counters. The registry's run_spec returns
+// it (ExperimentOptions::manifest_out); a driver called directly while
+// root metrics collection is on (the benches' --metrics) serializes it as
 // <dir>/<experiment>.manifest.json. The schema is versioned
 // ("ringent.run-manifest/1") and round-trip checked by the test suite.
 //
@@ -65,8 +67,8 @@ struct HistogramSummary {
   static HistogramSummary of(const sim::telemetry::HistogramSnapshot& h);
 };
 
-/// One observable experiment run, emitted by every driver in
-/// core/experiments.cpp when sim::metrics::enabled().
+/// One observable experiment run, built by every driver in
+/// core/experiments.cpp from the run's own metrics context.
 struct RunManifest {
   static constexpr std::string_view schema = "ringent.run-manifest/1";
 
@@ -76,8 +78,8 @@ struct RunManifest {
   std::size_t jobs = 0;    ///< resolved worker count
   std::size_t tasks = 0;   ///< independent sweep axes executed
   double wall_ms = 0.0;    ///< driver wall-clock
-  double cpu_ms = 0.0;     ///< process CPU over the driver (> wall when parallel)
-  sim::metrics::Snapshot metrics;  ///< counter/phase delta for this run
+  double cpu_ms = 0.0;     ///< CPU of the run's threads (> wall when parallel)
+  sim::metrics::Snapshot metrics;  ///< the run's counters and phases
   std::string version;     ///< version_string() at emission
   /// Histogram summaries for the run, present only when telemetry was
   /// collecting (the "telemetry" key is omitted when empty, so manifests

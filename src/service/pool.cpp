@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "common/require.hpp"
+#include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
 
 namespace ringent::service {
@@ -45,8 +46,15 @@ void GeneratorPool::start() {
   RINGENT_REQUIRE(threads_.empty(), "pool already started");
   running_.store(true, std::memory_order_release);
   threads_.reserve(workers_);
+  // Workers count into the metrics context of the thread that starts the
+  // pool (an experiment driver's run), like sim::ThreadPool tasks do.
+  sim::metrics::RunContext* const context =
+      sim::metrics::installed_context();
   for (std::size_t w = 0; w < workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_main(w); });
+    threads_.emplace_back([this, w, context] {
+      const sim::metrics::ContextScope scope(context);
+      worker_main(w);
+    });
   }
 }
 

@@ -34,10 +34,11 @@ void Kernel::reset_time() {
 }
 
 void Kernel::publish_pending() {
-  if (metrics::enabled()) {
+  if (metrics::counting()) {
+    metrics::RunContext& context = metrics::current_context();
     for (std::size_t i = 0; i < metrics::counter_count; ++i) {
       if (pending_[i] != 0) {
-        metrics::bump(static_cast<metrics::Counter>(i), pending_[i]);
+        context.add(static_cast<metrics::Counter>(i), pending_[i]);
       }
     }
   }

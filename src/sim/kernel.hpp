@@ -23,7 +23,8 @@
 // processes count into a plain per-kernel array (Kernel::count), the
 // kernel adds its own counts (schedules and pushes from next_seq_, events
 // fired and pops from events_fired_) once per drain, and a guard publishes
-// the pending counts with one metrics::bump each when the drain exits —
+// the pending counts to the thread's current metrics context (one add per
+// non-zero counter) when the drain exits —
 // normally or by an exception out of Process::fire. Outside a drain counts
 // are published at once, so a snapshot taken between runs is exact.
 //
@@ -217,8 +218,8 @@ class Kernel {
                                            : metrics::Counter::calendar_pops;
   }
 
-  /// Bump every non-zero pending count once (when metrics are enabled) and
-  /// zero it either way.
+  /// Add every non-zero pending count to the current metrics context once
+  /// (when the thread is metrics::counting()) and zero it either way.
   void publish_pending();
 
   /// The shared drain loop, templated over the concrete queue type and the

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
-#include <memory>
-#include <mutex>
 #include <string_view>
 
 #include "common/require.hpp"
@@ -15,49 +13,13 @@ namespace detail {
 
 std::atomic<bool> enabled_flag{false};
 
+constinit thread_local RunContext* installed = nullptr;
+
 namespace {
-
-struct PhaseAccumulator {
-  double wall_s = 0.0;
-  double cpu_s = 0.0;
-  std::uint64_t calls = 0;
-};
-
-/// Registry of every thread's counter block plus the phase map. Blocks are
-/// heap-owned by the registry (not the thread) so a snapshot taken after a
-/// pool shut down still sees the workers' counts.
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<CounterBlock>> blocks;
-  std::vector<std::pair<std::string, PhaseAccumulator>> phases;
-
-  PhaseAccumulator& phase(std::string_view name) {
-    for (auto& [existing, acc] : phases) {
-      if (existing == name) return acc;
-    }
-    phases.emplace_back(std::string(name), PhaseAccumulator{});
-    return phases.back().second;
-  }
-};
-
-Registry& registry() {
-  static Registry* instance = new Registry();  // leaked: outlives all threads
-  return *instance;
-}
-
+/// Thread CPU time at the last context switch on this thread; meaningful
+/// only while a run context is installed.
+constinit thread_local double cpu_mark = 0.0;
 }  // namespace
-
-CounterBlock& local_block() {
-  thread_local CounterBlock* block = [] {
-    auto owned = std::make_unique<CounterBlock>();
-    CounterBlock* raw = owned.get();
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.blocks.push_back(std::move(owned));
-    return raw;
-  }();
-  return *block;
-}
 
 }  // namespace detail
 
@@ -78,6 +40,94 @@ std::string_view counter_name(Counter counter) {
   return names[index];
 }
 
+// --- RunContext ----------------------------------------------------------------
+
+void RunContext::add_phase_locked(const PhaseStat& phase) {
+  for (PhaseStat& existing : phases_) {
+    if (existing.name != phase.name) continue;
+    existing.wall_ms += phase.wall_ms;
+    existing.cpu_ms += phase.cpu_ms;
+    existing.calls += phase.calls;
+    return;
+  }
+  phases_.push_back(phase);
+}
+
+void RunContext::add_phase(std::string_view name, double wall_s,
+                           double cpu_s) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  add_phase_locked({std::string(name), wall_s * 1e3, cpu_s * 1e3, 1});
+}
+
+void RunContext::add_cpu(double seconds) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  cpu_s_ += seconds;
+}
+
+void RunContext::merge(const RunContext& other) {
+  const Snapshot incoming = other.snapshot();
+  const double cpu_s = other.cpu_seconds();
+  for (std::size_t i = 0; i < counter_count; ++i) {
+    counters_[i].fetch_add(incoming.counters[i], std::memory_order_relaxed);
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  cpu_s_ += cpu_s;
+  for (const PhaseStat& phase : incoming.phases) add_phase_locked(phase);
+}
+
+Snapshot RunContext::snapshot() const {
+  Snapshot out;
+  for (std::size_t i = 0; i < counter_count; ++i) {
+    out.counters[i] = counters_[i].load(std::memory_order_relaxed);
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  out.phases = phases_;
+  return out;
+}
+
+double RunContext::cpu_seconds() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return cpu_s_;
+}
+
+void RunContext::reset() {
+  for (auto& value : counters_) value.store(0, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  phases_.clear();
+  cpu_s_ = 0.0;
+}
+
+RunContext& root_context() {
+  static RunContext* root = new RunContext();  // leaked: outlives all threads
+  return *root;
+}
+
+namespace {
+
+/// Install `next` on this thread, charging the thread CPU time since the
+/// last switch to the run context being left.
+void switch_to(RunContext* next) {
+  RunContext* const previous = detail::installed;
+  if (previous == next) return;
+  if (previous != nullptr || next != nullptr) {
+    const double now = thread_cpu_seconds();
+    if (previous != nullptr) previous->add_cpu(now - detail::cpu_mark);
+    detail::cpu_mark = now;
+  }
+  detail::installed = next;
+}
+
+}  // namespace
+
+ContextScope::ContextScope(RunContext* context)
+    : previous_(detail::installed) {
+  switch_to(context);
+}
+
+ContextScope::~ContextScope() { switch_to(previous_); }
+
+// --- root context ----------------------------------------------------------------
+
 void set_enabled(bool on) {
   detail::enabled_flag.store(on, std::memory_order_relaxed);
 }
@@ -91,37 +141,9 @@ bool init_from_env() {
   return enabled();
 }
 
-Snapshot snapshot() {
-  auto& reg = detail::registry();
-  Snapshot out;
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& block : reg.blocks) {
-    for (std::size_t i = 0; i < counter_count; ++i) {
-      out.counters[i] += block->values[i].load(std::memory_order_relaxed);
-    }
-  }
-  out.phases.reserve(reg.phases.size());
-  for (const auto& [name, acc] : reg.phases) {
-    PhaseStat stat;
-    stat.name = name;
-    stat.wall_ms = acc.wall_s * 1e3;
-    stat.cpu_ms = acc.cpu_s * 1e3;
-    stat.calls = acc.calls;
-    out.phases.push_back(std::move(stat));
-  }
-  return out;
-}
+Snapshot snapshot() { return root_context().snapshot(); }
 
-void reset() {
-  auto& reg = detail::registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  for (auto& block : reg.blocks) {
-    for (auto& value : block->values) {
-      value.store(0, std::memory_order_relaxed);
-    }
-  }
-  reg.phases.clear();
-}
+void reset() { root_context().reset(); }
 
 Snapshot Snapshot::delta_since(const Snapshot& earlier) const {
   Snapshot out;
@@ -158,26 +180,18 @@ double clock_seconds(clockid_t id) {
 
 double thread_cpu_seconds() { return clock_seconds(CLOCK_THREAD_CPUTIME_ID); }
 
-double process_cpu_seconds() { return clock_seconds(CLOCK_PROCESS_CPUTIME_ID); }
-
 ScopedPhase::ScopedPhase(std::string_view name) {
-  if (!enabled()) return;
-  active_ = true;
+  if (!counting()) return;
+  context_ = &current_context();
   name_ = name;
   wall_start_ = wall_seconds();
   cpu_start_ = thread_cpu_seconds();
 }
 
 ScopedPhase::~ScopedPhase() {
-  if (!active_) return;
-  const double wall = wall_seconds() - wall_start_;
-  const double cpu = thread_cpu_seconds() - cpu_start_;
-  auto& reg = detail::registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  auto& acc = reg.phase(name_);
-  acc.wall_s += wall;
-  acc.cpu_s += cpu;
-  ++acc.calls;
+  if (context_ == nullptr) return;
+  context_->add_phase(name_, wall_seconds() - wall_start_,
+                      thread_cpu_seconds() - cpu_start_);
 }
 
 }  // namespace ringent::sim::metrics

@@ -19,13 +19,14 @@
 
 namespace {
 
+namespace metrics = ringent::sim::metrics;
+using Task = std::function<void(std::size_t)>;
+
 /// Run one pool task, recording its wall-clock duration into the
 /// pool_task_ns histogram when telemetry is on (two clock reads — paid only
 /// when collecting; the off path is the task call alone).
-template <class Task>
 void run_timed_task(std::size_t i, const Task& task) {
   namespace telemetry = ringent::sim::telemetry;
-  namespace metrics = ringent::sim::metrics;
   if (!telemetry::enabled()) {
     task(i);
     return;
@@ -37,6 +38,35 @@ void run_timed_task(std::size_t i, const Task& task) {
                     elapsed > 0.0 ? static_cast<std::uint64_t>(elapsed * 1e9)
                                   : 0);
 }
+
+/// One task with its pool_tasks count, trace span and telemetry timing.
+void run_task(std::size_t i, const Task& task) {
+  namespace trace = ringent::sim::trace;
+  metrics::bump(metrics::Counter::pool_tasks);
+  if (trace::enabled()) {
+    trace::Span span("task " + std::to_string(i), "pool");
+    run_timed_task(i, task);
+  } else {
+    run_timed_task(i, task);
+  }
+}
+
+/// One submitted for_each_index call. Lives on the submitter's stack; every
+/// field is guarded by the pool's mutex.
+struct Batch {
+  const Task* fn = nullptr;
+  std::size_t count = 0;
+  std::size_t next = 0;     ///< next unclaimed index
+  std::size_t running = 0;  ///< claimed, not yet finished
+  metrics::RunContext* context = nullptr;  ///< the submitter's run context
+
+  // First (lowest-index) exception of the batch.
+  std::size_t error_index = 0;
+  std::exception_ptr error;
+
+  bool exhausted() const { return next == count; }
+  bool done() const { return exhausted() && running == 0; }
+};
 
 }  // namespace
 
@@ -97,71 +127,71 @@ std::size_t parse_jobs_arg(int argc, char** argv) {
   return 0;
 }
 
+namespace {
+thread_local ThreadPool* current_pool = nullptr;
+}  // namespace
+
 struct ThreadPool::Impl {
+  ThreadPool* owner = nullptr;
   std::mutex mutex;
-  std::condition_variable work_ready;
-  std::condition_variable work_done;
+  /// Signalled when a batch is submitted (work to claim) and when a batch's
+  /// last task finishes (its submitter may return).
+  std::condition_variable changed;
   bool stop = false;
-
-  // Current batch; all fields written under `mutex` before the generation
-  // bump that releases the workers.
-  std::uint64_t generation = 0;
-  std::size_t count = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::atomic<std::size_t> next{0};
-  std::size_t busy = 0;  ///< workers still draining the current batch
-
-  // First (lowest-index) exception of the batch.
-  std::size_t error_index = 0;
-  std::exception_ptr error;
-
+  /// Batches with unclaimed indices, oldest first.
+  std::vector<Batch*> open;
   std::vector<std::thread> workers;
 
-  /// Claim and run tasks until the cursor passes `count`. Indices are
-  /// claimed in increasing order, so every index below the first throwing
-  /// one is guaranteed to have been claimed (and run to completion) — which
-  /// is what makes "rethrow the lowest-index exception" deterministic.
-  void drain(const std::function<void(std::size_t)>& task) {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      metrics::bump(metrics::Counter::pool_tasks);
+  /// Claim the next index of `batch`; a batch leaves `open` once its last
+  /// index is claimed.
+  std::size_t claim(Batch& batch) {
+    const std::size_t i = batch.next++;
+    ++batch.running;
+    if (batch.exhausted()) std::erase(open, &batch);
+    return i;
+  }
+
+  /// Run task `i` of `batch` with the lock released, in the batch's metrics
+  /// context and with this pool as the thread's current pool.
+  void run(Batch& batch, std::size_t i, std::unique_lock<std::mutex>& lock) {
+    lock.unlock();
+    std::exception_ptr error;
+    {
+      const metrics::ContextScope context(batch.context);
+      ThreadPool* const outer_pool = current_pool;
+      current_pool = owner;
       try {
-        if (trace::enabled()) {
-          trace::Span span("task " + std::to_string(i), "pool");
-          run_timed_task(i, task);
-        } else {
-          run_timed_task(i, task);
-        }
+        run_task(i, *batch.fn);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (error == nullptr || i < error_index) {
-          error = std::current_exception();
-          error_index = i;
-        }
-        // Fail fast: park the cursor past the end so unclaimed tasks are
-        // skipped. In-flight tasks still finish (no cancellation).
-        next.store(count, std::memory_order_relaxed);
+        error = std::current_exception();
+      }
+      current_pool = outer_pool;
+    }
+    lock.lock();
+    if (error != nullptr) {
+      if (batch.error == nullptr || i < batch.error_index) {
+        batch.error = error;
+        batch.error_index = i;
+      }
+      // Fail fast: unclaimed indices are skipped. Every index below `i`
+      // was claimed before it, so it runs to completion and the lowest
+      // throwing index is found deterministically.
+      if (!batch.exhausted()) {
+        batch.next = batch.count;
+        std::erase(open, &batch);
       }
     }
+    --batch.running;
+    if (batch.done()) changed.notify_all();
   }
 
   void worker_loop() {
-    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
-      const std::function<void(std::size_t)>* task = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        work_ready.wait(lock, [&] { return stop || generation != seen; });
-        if (stop) return;
-        seen = generation;
-        task = fn;
-      }
-      drain(*task);
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (--busy == 0) work_done.notify_all();
-      }
+      changed.wait(lock, [&] { return stop || !open.empty(); });
+      if (stop) return;
+      Batch& batch = *open.back();
+      run(batch, claim(batch), lock);
     }
   }
 };
@@ -169,9 +199,10 @@ struct ThreadPool::Impl {
 ThreadPool::ThreadPool(std::size_t jobs) : jobs_(resolve_jobs(jobs)) {
   if (jobs_ < 2) return;
   impl_ = std::make_unique<Impl>();
+  impl_->owner = this;
   impl_->workers.reserve(jobs_ - 1);
-  // The calling thread participates in every batch, so jobs_ workers means
-  // jobs_ - 1 spawned threads.
+  // The submitting thread takes part in its own batch, so jobs_ workers
+  // means jobs_ - 1 spawned threads.
   for (std::size_t i = 0; i + 1 < jobs_; ++i) {
     impl_->workers.emplace_back([impl = impl_.get()] { impl->worker_loop(); });
   }
@@ -183,47 +214,45 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->stop = true;
   }
-  impl_->work_ready.notify_all();
+  impl_->changed.notify_all();
   for (auto& worker : impl_->workers) worker.join();
 }
+
+ThreadPool* ThreadPool::current() { return current_pool; }
 
 void ThreadPool::for_each_index(std::size_t count,
                                 const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (impl_ == nullptr || count == 1) {
+  if (impl_ == nullptr) {
     // Inline path: a plain sequential loop (first exception propagates).
-    for (std::size_t i = 0; i < count; ++i) {
-      metrics::bump(metrics::Counter::pool_tasks);
-      if (trace::enabled()) {
-        trace::Span span("task " + std::to_string(i), "pool");
-        run_timed_task(i, fn);
-      } else {
-        run_timed_task(i, fn);
-      }
-    }
+    for (std::size_t i = 0; i < count; ++i) run_task(i, fn);
     return;
   }
 
   Impl& impl = *impl_;
-  {
-    std::lock_guard<std::mutex> lock(impl.mutex);
-    impl.count = count;
-    impl.fn = &fn;
-    impl.next.store(0, std::memory_order_relaxed);
-    impl.error = nullptr;
-    impl.error_index = 0;
-    impl.busy = impl.workers.size();
-    ++impl.generation;
-  }
-  impl.work_ready.notify_all();
-
-  impl.drain(fn);  // the calling thread is worker number jobs_
+  Batch batch;
+  batch.fn = &fn;
+  batch.count = count;
+  batch.context = metrics::installed_context();
 
   std::unique_lock<std::mutex> lock(impl.mutex);
-  impl.work_done.wait(lock, [&] { return impl.busy == 0; });
-  if (impl.error != nullptr) {
-    const std::exception_ptr error = impl.error;
-    impl.error = nullptr;
+  impl.open.push_back(&batch);
+  if (count > 1) impl.changed.notify_all();
+  // Own indices first (the first one before any worker can take it, so a
+  // longest-first batch starts its longest task here), then other open
+  // batches' tasks, newest first, until this batch's last task finishes.
+  while (!batch.done()) {
+    if (!batch.exhausted()) {
+      impl.run(batch, impl.claim(batch), lock);
+    } else if (!impl.open.empty()) {
+      Batch& other = *impl.open.back();
+      impl.run(other, impl.claim(other), lock);
+    } else {
+      impl.changed.wait(lock);
+    }
+  }
+  if (batch.error != nullptr) {
+    const std::exception_ptr error = batch.error;
     lock.unlock();
     std::rethrow_exception(error);
   }

@@ -10,12 +10,21 @@
 //    (master seed, label, task index) via derive_seed — tasks share nothing
 //    mutable, so the schedule cannot leak into the results;
 //  * results are collected by task index, never by completion order;
-//  * there is no work stealing and no per-thread state: workers claim task
-//    indices from one monotone cursor, so which thread runs a task is the
-//    only nondeterminism — and it is unobservable.
+//  * each batch hands out its task indices from one monotone cursor, so
+//    which thread runs a task is the only nondeterminism — and it is
+//    unobservable.
 //
 // Consequence: every parallelized driver returns bit-identical results for
 // any thread count, including 1 (asserted by tests/test_parallel.cpp).
+//
+// Nesting. A sweep started from inside a pool task (a campaign cell whose
+// driver fans out over its stage counts) does not build a pool of its own:
+// it submits its batch to the pool the task runs on. So one pool of `jobs`
+// threads serves every level, and at most `jobs` task bodies run at once —
+// the number of simulations in flight is the same whether cells run one
+// after another or side by side. Tasks run in the metrics context of the
+// thread that submitted their batch (sim/metrics.hpp), so each run's
+// counters stay its own.
 #pragma once
 
 #include <cstddef>
@@ -57,17 +66,27 @@ std::size_t parse_jobs_arg(int argc, char** argv);
 /// A fixed-size pool of worker threads executing indexed task batches.
 ///
 /// for_each_index(count, fn) runs fn(0) .. fn(count - 1), each exactly once,
-/// and blocks until all complete. Indices are claimed in increasing order
-/// from a shared atomic cursor (no work stealing, no per-thread queues).
-/// If tasks throw, the exception of the *lowest* throwing index is rethrown
-/// — the same exception a sequential loop would have surfaced first — so
-/// error behaviour is deterministic too.
+/// and blocks until all complete. Each batch's indices are claimed in
+/// increasing order from its own cursor. If tasks throw, the batch stops
+/// handing out indices, lets the claimed ones finish, and rethrows the
+/// exception of the *lowest* throwing index — the same exception a
+/// sequential loop would have surfaced first — so error behaviour is
+/// deterministic too.
 ///
-/// With jobs == 1 (or a single task) the batch runs inline on the calling
-/// thread and no worker threads are ever spawned.
+/// The pool is thread-safe: any thread may submit, and a task may submit a
+/// batch to the pool it runs on (the nested case). Open batches form a
+/// stack; an idle worker takes the next index of the newest batch. A
+/// submitting thread claims the first index of its own batch before any
+/// worker can, drains its batch, and — while the batch's last tasks finish
+/// on other threads — runs tasks of other open batches, newest first.
+/// Threads with nothing to claim block; nothing spins. The pool owns
+/// jobs − 1 workers, so with one outside caller at most `jobs` threads run
+/// task bodies at once.
 ///
-/// The pool itself is not thread-safe: one batch at a time, driven from the
-/// owning thread. Tasks must not touch the pool.
+/// With jobs == 1 the batch runs inline on the calling thread and no worker
+/// threads are ever spawned. A single-task batch on a wider pool runs on
+/// the calling thread too, but as a pool task, so sweeps nested in it
+/// still share the pool.
 class ThreadPool {
  public:
   /// `jobs` = 0 resolves to default_jobs().
@@ -81,17 +100,32 @@ class ThreadPool {
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
 
+  /// The pool whose task the calling thread is running; null outside
+  /// every pool task (and inside the inline tasks of a jobs-1 pool).
+  static ThreadPool* current();
+
  private:
   struct Impl;
   std::size_t jobs_ = 1;
   std::unique_ptr<Impl> impl_;  ///< null when jobs_ == 1
 };
 
-/// Run fn(i) for i in [0, count) on `jobs` workers (0 = default).
+/// Run fn(i) for i in [0, count) on `jobs` workers (0 = default). Called
+/// from inside a pool task with jobs != 1, the batch goes to that task's
+/// pool (ThreadPool::current()) and runs at the pool's width; otherwise a
+/// pool of `jobs` workers is built for the call.
 template <typename Fn>
 void parallel_for_each(std::size_t count, std::size_t jobs, Fn&& fn) {
+  const std::function<void(std::size_t)> task = [&fn](std::size_t i) {
+    fn(i);
+  };
+  ThreadPool* enclosing = ThreadPool::current();
+  if (enclosing != nullptr && resolve_jobs(jobs) > 1) {
+    enclosing->for_each_index(count, task);
+    return;
+  }
   ThreadPool pool(jobs);
-  pool.for_each_index(count, [&fn](std::size_t i) { fn(i); });
+  pool.for_each_index(count, task);
 }
 
 /// Map i in [0, count) through fn on `jobs` workers; results are returned

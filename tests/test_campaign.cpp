@@ -7,13 +7,19 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <latch>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -533,6 +539,47 @@ TEST(CampaignStore, UnsortedIndexIsRejected) {
   EXPECT_THROW(CampaignIndex::from_json(index), Error);
 }
 
+TEST(CampaignStore, ConcurrentPutsOfOneRecordLeaveOneLoadableFile) {
+  // Cells of one process may write the same path at once (two plans naming
+  // one cell, or the index). Each writer needs a temp file of its own: a
+  // shared one is truncated under a writer or renamed away before its own
+  // rename.
+  TempDir tmp("concurrent-put");
+  ResultStore store(tmp.str());
+  run_campaign(tiny_restart_plan(), store, {});
+  const std::vector<CampaignCell> cells = expand_plan(tiny_restart_plan());
+  const std::optional<CellRecord> stored = store.load(cells[0].key);
+  ASSERT_TRUE(stored.has_value());
+  const CellRecord record = *stored;
+
+  constexpr int kWriters = 4;
+  for (int round = 0; round < 50; ++round) {
+    std::latch start(kWriters);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&] {
+        start.arrive_and_wait();
+        try {
+          store.put(record);
+        } catch (const Error&) {
+          failures.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& writer : writers) writer.join();
+    ASSERT_EQ(failures.load(), 0) << "round " << round;
+    const std::optional<CellRecord> loaded = store.load(record.key);
+    ASSERT_TRUE(loaded.has_value()) << "round " << round;
+    EXPECT_EQ(loaded->to_json().dump(), record.to_json().dump());
+  }
+  for (const auto& entry : fs::directory_iterator(tmp.path / "cells")) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << "leftover temp file " << entry.path();
+  }
+}
+
 // --- resume / sharding bit-identity ------------------------------------------
 
 TEST(CampaignResume, InterruptedRunResumesBitIdentical) {
@@ -598,6 +645,184 @@ TEST(CampaignResume, ShardedRunsComposeToTheSameStore) {
   bad_shard.shard_index = 2;
   bad_shard.shard_count = 2;
   EXPECT_THROW(run_campaign(plan, shard_store, bad_shard), Error);
+}
+
+// --- concurrent cells ----------------------------------------------------------
+
+namespace {
+
+/// The committed grand sweep over four seeds, so every experiment has
+/// several cells that can run side by side.
+CampaignPlan multi_seed_grand_sweep() {
+  CampaignPlan plan =
+      load_plan(std::string(RINGENT_PLANS_DIR) + "/grand_sweep.json");
+  plan.seeds = {kSeed, kSeed + 1, kSeed + 2, kSeed + 3};
+  for (PlanEntry& entry : plan.entries) entry.seeds.clear();
+  return plan;
+}
+
+/// The progress line run_campaign reports for `cell`.
+std::string progress_line(const char* verb, const CampaignCell& cell) {
+  return std::string(verb) + " " + cell.key.substr(0, 12) + "  " +
+         cell.experiment + " seed=" + std::to_string(cell.seed);
+}
+
+/// Collects progress lines and records whether two calls ever overlapped.
+struct ProgressLog {
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  std::atomic<int> inside{0};
+  bool overlapped = false;
+
+  std::function<void(const std::string&)> sink() {
+    return [this](const std::string& line) {
+      if (inside.fetch_add(1) != 0) overlapped = true;
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        lines.push_back(line);
+      }
+      inside.fetch_sub(1);
+    };
+  }
+};
+
+}  // namespace
+
+TEST(CampaignConcurrency, StoresAreByteIdenticalAtJobs1And2And4) {
+  const CampaignPlan plan = multi_seed_grand_sweep();
+  TempDir ref_dir("jobs-1");
+  ResultStore ref_store(ref_dir.str());
+  CampaignRunOptions sequential;
+  sequential.jobs = 1;
+  const CampaignReport ref = run_campaign(plan, ref_store, sequential);
+  ASSERT_GE(ref.planned, 40u);
+  ASSERT_EQ(ref.executed, ref.planned);
+  const auto expected = dir_contents(ref_dir.path);
+
+  for (const std::size_t jobs : {2u, 4u}) {
+    TempDir dir("jobs-" + std::to_string(jobs));
+    ResultStore store(dir.str());
+    CampaignRunOptions options;
+    options.jobs = jobs;
+    const CampaignReport report = run_campaign(plan, store, options);
+    EXPECT_EQ(report.executed, ref.planned) << "jobs = " << jobs;
+    EXPECT_EQ(dir_contents(dir.path), expected) << "jobs = " << jobs;
+  }
+
+  // Interrupted after the first cells and resumed, all at jobs 4.
+  TempDir cut_dir("jobs-4-cut");
+  ResultStore cut_store(cut_dir.str());
+  CampaignRunOptions first;
+  first.jobs = 4;
+  first.max_cells = 7;
+  const CampaignReport interrupted = run_campaign(plan, cut_store, first);
+  EXPECT_EQ(interrupted.executed, 7u);
+  EXPECT_EQ(interrupted.remaining, ref.planned - 7);
+  const std::vector<CampaignCell> cells = expand_plan(plan);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cut_store.has_valid(cells[i].key), i < 7)
+        << "max_cells must run the first uncached cells, cell " << i;
+  }
+  CampaignRunOptions resume;
+  resume.jobs = 4;
+  const CampaignReport resumed = run_campaign(plan, cut_store, resume);
+  EXPECT_EQ(resumed.cached, 7u);
+  EXPECT_EQ(resumed.executed, ref.planned - 7);
+  EXPECT_EQ(dir_contents(cut_dir.path), expected)
+      << "resumed store differs from an uninterrupted jobs-1 run";
+}
+
+TEST(CampaignConcurrency, ProgressArrivesInExpandedOrderAtJobs4) {
+  const CampaignPlan plan = multi_seed_grand_sweep();
+  const std::vector<CampaignCell> cells = expand_plan(plan);
+  TempDir dir("progress");
+  ResultStore store(dir.str());
+
+  ProgressLog cold;
+  CampaignRunOptions options;
+  options.jobs = 4;
+  options.progress = cold.sink();
+  run_campaign(plan, store, options);
+  std::vector<std::string> expected;
+  for (const CampaignCell& cell : cells) {
+    expected.push_back(progress_line("executed", cell));
+  }
+  EXPECT_EQ(cold.lines, expected);
+  EXPECT_FALSE(cold.overlapped) << "progress must never be called concurrently";
+
+  // Drop every third record: cached and executed lines interleave, still in
+  // expanded order.
+  expected.clear();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i % 3 == 1) {
+      fs::remove(store.cell_path(cells[i].key));
+      expected.push_back(progress_line("executed", cells[i]));
+    } else {
+      expected.push_back(progress_line("cached  ", cells[i]));
+    }
+  }
+  ProgressLog healed;
+  options.progress = healed.sink();
+  run_campaign(plan, store, options);
+  EXPECT_EQ(healed.lines, expected);
+  EXPECT_FALSE(healed.overlapped);
+}
+
+TEST(CampaignConcurrency, FailingCellCommitsTheCellsBeforeItAndRethrows) {
+  // A voltage sweep without the nominal voltage passes spec validation but
+  // fails in the driver (the rule needs the calibration), so it is a cell
+  // that throws at run time. It sits between restart cells.
+  CampaignPlan plan = tiny_restart_plan();
+  PlanEntry bad;
+  bad.experiment = "voltage_sweep";
+  bad.spec = Json::object();
+  bad.spec.set("voltages", Json::parse("[1.1, 1.3]"));
+  PlanEntry after = plan.entries[0];
+  after.grid[0].second = {Json(std::int64_t(14)), Json(std::int64_t(16))};
+  plan.entries = {plan.entries[0], bad, after};
+  const std::vector<CampaignCell> cells = expand_plan(plan);
+  ASSERT_EQ(cells.size(), 6u);
+  ASSERT_EQ(cells[3].experiment, "voltage_sweep");
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    TempDir dir("failing-cell-" + std::to_string(jobs));
+    ResultStore store(dir.str());
+    ProgressLog log;
+    CampaignRunOptions options;
+    options.jobs = jobs;
+    options.progress = log.sink();
+    try {
+      run_campaign(plan, store, options);
+      FAIL() << "expected the voltage-sweep cell to throw, jobs = " << jobs;
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find("nominal voltage"),
+                std::string::npos)
+          << error.what();
+    }
+    // Every cell before the failure is committed and reported, in order;
+    // nothing at or after it is reported.
+    std::vector<std::string> expected;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(store.has_valid(cells[i].key)) << "cell " << i;
+      expected.push_back(progress_line("executed", cells[i]));
+    }
+    EXPECT_EQ(log.lines, expected) << "jobs = " << jobs;
+    EXPECT_FALSE(store.has_valid(cells[3].key));
+
+    // Cells after it that were already in flight finished and were stored;
+    // verify sees exactly the stored cells as valid, and an index that
+    // agrees with them.
+    std::size_t stored = 0;
+    for (const CampaignCell& cell : cells) stored += store.has_valid(cell.key);
+    if (jobs == 1) {
+      EXPECT_EQ(stored, 3u);
+    }
+    const VerifyReport verified = verify_campaign(plan, store);
+    EXPECT_EQ(verified.valid, stored) << "jobs = " << jobs;
+    EXPECT_EQ(verified.torn, 0u);
+    EXPECT_EQ(verified.missing, cells.size() - stored);
+    EXPECT_TRUE(verified.index_consistent) << "jobs = " << jobs;
+  }
 }
 
 // --- status / verify ---------------------------------------------------------

@@ -177,6 +177,61 @@ TEST(Metrics, PoolTasksCountsEveryIndex) {
   EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::pool_tasks), 13u);
 }
 
+TEST(Metrics, PoolTasksCountIntoTheSubmittersRunContext) {
+  // A run context counts whatever the root switch says, and the pool tasks
+  // a run submits count into it on every worker — none into the root.
+  for (const bool root_on : {false, true}) {
+    metrics::set_enabled(root_on);
+    metrics::reset();
+    metrics::RunContext run;
+    {
+      const metrics::ContextScope scope(&run);
+      EXPECT_TRUE(metrics::counting());
+      sim::parallel_for_each(13, 3, [&](std::size_t i) {
+        metrics::bump(metrics::Counter::fault_activations, i);
+        const metrics::ScopedPhase phase("task");
+      });
+    }
+    EXPECT_EQ(metrics::counting(), root_on);
+    const metrics::Snapshot counted = run.snapshot();
+    EXPECT_EQ(counted.counter(metrics::Counter::pool_tasks), 13u);
+    EXPECT_EQ(counted.counter(metrics::Counter::fault_activations), 78u);
+    ASSERT_EQ(counted.phases.size(), 1u);
+    EXPECT_EQ(counted.phases[0].calls, 13u);
+    const metrics::Snapshot root = metrics::snapshot();
+    for (std::size_t i = 0; i < metrics::counter_count; ++i) {
+      EXPECT_EQ(root.counters[i], 0u) << "root_on = " << root_on;
+    }
+    EXPECT_TRUE(root.phases.empty());
+  }
+  metrics::set_enabled(false);
+  metrics::reset();
+}
+
+TEST(Metrics, RunContextIsChargedOnlyItsOwnThreadCpu) {
+  // CPU burnt while a run context is installed is the run's; CPU burnt on
+  // the same thread after the scope closes (or inside another run's scope)
+  // is not.
+  const auto burn = [] {
+    volatile double x = 1.0;
+    for (int j = 0; j < 2000000; ++j) x = x * 1.0000001;
+  };
+  metrics::RunContext mine;
+  metrics::RunContext other;
+  {
+    const metrics::ContextScope scope(&mine);
+    burn();
+    {
+      const metrics::ContextScope nested(&other);
+      burn();
+      burn();
+    }
+  }
+  burn();
+  EXPECT_GT(mine.cpu_seconds(), 0.0);
+  EXPECT_GT(other.cpu_seconds(), mine.cpu_seconds());
+}
+
 TEST(Metrics, ScopedPhaseAccumulates) {
   const MetricsGuard guard;
   for (int i = 0; i < 3; ++i) {

@@ -6,10 +6,15 @@
 // streams derive from (master seed, label, task index).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -90,6 +95,100 @@ TEST(ThreadPool, UsableAfterBatchException) {
   std::atomic<int> count{0};
   pool.for_each_index(4, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 4);
+}
+
+namespace {
+
+/// Records which threads ran task bodies and the most bodies ever running
+/// at once. A body counts as running while it executes its own code, not
+/// while it waits on a nested batch.
+struct Occupancy {
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+
+  void enter() {
+    const int now = running.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    threads.insert(std::this_thread::get_id());
+  }
+  void leave() { running.fetch_sub(1); }
+
+  /// A short stretch of body code.
+  void work() {
+    enter();
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    leave();
+  }
+};
+
+}  // namespace
+
+TEST(ThreadPool, NestedBatchesShareThePoolsThreadsAndWidth) {
+  // A sweep started inside a pool task (a campaign cell's driver) must run
+  // on the same pool: no new threads, and never more than `jobs` bodies at
+  // once — otherwise jobs cells would each fan out `jobs` wide.
+  constexpr std::size_t kJobs = 4;
+  Occupancy occupancy;
+  std::atomic<int> inner_runs{0};
+  sim::ThreadPool pool(kJobs);
+  pool.for_each_index(12, [&](std::size_t outer) {
+    occupancy.work();
+    const auto squares = sim::parallel_index_map(
+        6 + outer % 3, kJobs, [&](std::size_t i) {
+          occupancy.work();
+          inner_runs.fetch_add(1);
+          return i * i;
+        });
+    for (std::size_t i = 0; i < squares.size(); ++i) {
+      EXPECT_EQ(squares[i], i * i) << "outer " << outer;
+    }
+    occupancy.work();
+  });
+  EXPECT_EQ(inner_runs.load(), 4 * (6 + 7 + 8));
+  EXPECT_LE(occupancy.threads.size(), kJobs);
+  EXPECT_LE(occupancy.peak.load(), static_cast<int>(kJobs));
+}
+
+TEST(ThreadPool, NestedBatchRethrowsItsLowestIndexException) {
+  sim::ThreadPool pool(4);
+  std::vector<std::string> caught(8);
+  pool.for_each_index(8, [&](std::size_t outer) {
+    try {
+      sim::parallel_for_each(32, 4, [&](std::size_t i) {
+        if (i == 7 || i == 19 || i == 30) {
+          throw std::runtime_error(std::to_string(outer) + "/" +
+                                   std::to_string(i));
+        }
+      });
+    } catch (const std::runtime_error& error) {
+      caught[outer] = error.what();
+    }
+  });
+  for (std::size_t outer = 0; outer < caught.size(); ++outer) {
+    EXPECT_EQ(caught[outer], std::to_string(outer) + "/7");
+  }
+
+  // Uncaught, a nested failure fails its outer task, and the outer batch
+  // in turn rethrows its own lowest failing index.
+  try {
+    pool.for_each_index(6, [&](std::size_t outer) {
+      if (outer < 2) return;
+      sim::parallel_for_each(16, 4, [&](std::size_t i) {
+        if (i >= 5) {
+          throw std::runtime_error(std::to_string(outer) + "/" +
+                                   std::to_string(i));
+        }
+      });
+    });
+    FAIL() << "expected the nested failure to propagate";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "2/5");
+  }
 }
 
 TEST(ParallelMap, ResultsAreIndexOrdered) {

@@ -4,11 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <unistd.h>
 
+#include "campaign/store.hpp"
 #include "common/json.hpp"
 #include "core/export.hpp"
 #include "core/registry.hpp"
@@ -58,8 +64,8 @@ TEST(Registry, FindExperimentIsTotal) {
 }
 
 TEST(Registry, RunSmallReturnsTheDriversManifestAndRestoresMetricsState) {
-  // Metrics are off going in; run_small must flip them on for the driver
-  // (so a manifest exists), then put the world back exactly as it was.
+  // Metrics are off going in; run_small must still return the driver's
+  // manifest (built from the run's own context) and leave them off.
   ASSERT_FALSE(sim::metrics::enabled());
   const ExperimentDescriptor* exp = find_experiment("restart");
   ASSERT_NE(exp, nullptr);
@@ -75,6 +81,116 @@ TEST(Registry, RunSmallReturnsTheDriversManifestAndRestoresMetricsState) {
   EXPECT_EQ(manifest.seed, options.seed);
   EXPECT_GT(manifest.metrics.counter(sim::metrics::Counter::events_fired),
             0u);
+}
+
+namespace {
+
+/// Two registry runs big enough (tens of milliseconds each) that, started
+/// together, they overlap.
+struct TwoRuns {
+  const ExperimentDescriptor* restart = find_experiment("restart");
+  const ExperimentDescriptor* sweep = find_experiment("voltage_sweep");
+  Json restart_spec = restart->default_spec();
+  Json sweep_spec = sweep->default_spec();
+  ExperimentOptions options;
+
+  TwoRuns() {
+    restart_spec.set("restarts", Json(std::int64_t(48)));
+    restart_spec.set("edges", Json(std::int64_t(4096)));
+    sweep_spec.set("periods", Json(std::int64_t(60000)));
+    options.jobs = 2;
+  }
+
+  /// A manifest without its machine- and timing-dependent fields.
+  static std::string normalized(const RunManifest& manifest) {
+    RunManifest copy = campaign::normalize_manifest(manifest);
+    copy.version.clear();
+    return copy.to_json().dump();
+  }
+  std::string run_restart() const {
+    return normalized(restart->run_spec(restart_spec, cyclone_iii(), options));
+  }
+  std::string run_sweep() const {
+    return normalized(sweep->run_spec(sweep_spec, cyclone_iii(), options));
+  }
+};
+
+}  // namespace
+
+TEST(Registry, ConcurrentRunSpecCallsEachGetExactlyTheirOwnManifest) {
+  // Two threads calling the registry at once must each get the manifest a
+  // lone call gets: the counters of its own run, none of the other's.
+  const TwoRuns runs;
+  const std::string restart_alone = runs.run_restart();
+  const std::string sweep_alone = runs.run_sweep();
+  ASSERT_NE(restart_alone, sweep_alone);
+
+  for (int trial = 0; trial < 3; ++trial) {
+    std::latch start(2);
+    std::string restart_together;
+    std::string sweep_together;
+    std::thread first([&] {
+      start.arrive_and_wait();
+      restart_together = runs.run_restart();
+    });
+    std::thread second([&] {
+      start.arrive_and_wait();
+      sweep_together = runs.run_sweep();
+    });
+    first.join();
+    second.join();
+    EXPECT_EQ(restart_together, restart_alone) << "trial " << trial;
+    EXPECT_EQ(sweep_together, sweep_alone) << "trial " << trial;
+  }
+  EXPECT_FALSE(sim::metrics::enabled());
+}
+
+TEST(Registry, EntropyServiceManifestCountsItsPoolWorkers) {
+  // The service simulates its rings on pool threads it starts itself; those
+  // threads count into the run's context like sweep tasks do. (Only the
+  // ring construction happens on the driver's own thread.)
+  const ExperimentDescriptor* service = find_experiment("entropy_service");
+  ASSERT_NE(service, nullptr);
+  Json spec = service->default_spec();
+  spec.set("synthetic", Json(false));
+  spec.set("raw_bits_per_slot", Json(std::int64_t(64)));
+  spec.set("request_bytes", Json(std::int64_t(4)));
+  spec.set("block_bytes", Json(std::int64_t(4)));
+  ExperimentOptions options;
+  options.jobs = 2;
+  const RunManifest manifest =
+      service->run_spec(spec, cyclone_iii(), options);
+  EXPECT_GT(manifest.metrics.counter(sim::metrics::Counter::events_fired),
+            100000u);
+  EXPECT_GT(
+      manifest.metrics.counter(sim::metrics::Counter::charlie_evaluations),
+      100000u);
+}
+
+TEST(Registry, RunSpecWritesNoManifestFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("ringent-registry-out-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const char* previous = std::getenv("RINGENT_OUT_DIR");
+  const std::string saved = previous != nullptr ? previous : "";
+  setenv("RINGENT_OUT_DIR", dir.c_str(), 1);
+
+  ExperimentOptions options;
+  options.jobs = 1;
+  const RunManifest manifest =
+      find_experiment("restart")->run_small(cyclone_iii(), options);
+  EXPECT_EQ(manifest.experiment, "restart");
+  EXPECT_TRUE(fs::is_empty(dir)) << "run_spec must return its manifest, "
+                                    "not write it";
+
+  if (previous != nullptr) {
+    setenv("RINGENT_OUT_DIR", saved.c_str(), 1);
+  } else {
+    unsetenv("RINGENT_OUT_DIR");
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Registry, EveryDriverStreamsATelemetrySnapshot) {
