@@ -71,14 +71,9 @@ bool GeneratorPool::pump_slot(Slot& slot) {
 
   // Flush conditioned bytes the ring could not take last time first, so the
   // stream order is preserved.
-  if (!slot.pending_out.empty()) {
-    const std::size_t pushed = slot.ring->try_push(slot.pending_out);
-    if (pushed > 0) {
-      slot.conditioned_bytes += pushed;
-      slot.pending_out.erase(slot.pending_out.begin(),
-                             slot.pending_out.begin() + pushed);
-    }
-    if (!slot.pending_out.empty()) return pushed > 0;  // ring still full
+  if (slot.flushed < slot.conditioned.size()) {
+    const std::size_t pushed = flush(slot);
+    if (slot.flushed < slot.conditioned.size()) return pushed > 0;
   }
 
   if (slot.done_producing) {
@@ -108,16 +103,20 @@ bool GeneratorPool::pump_slot(Slot& slot) {
   const bool consumed_raw = gen.stats().bits_in > used;
   if (got == 0) return consumed_raw;  // muted/relocking: bits burned, no output
 
-  std::vector<std::uint8_t> conditioned;
+  slot.conditioned.clear();
+  slot.flushed = 0;
   slot.conditioner->process(std::span<const std::uint8_t>(staging, got),
-                            conditioned);
-  if (conditioned.empty()) return true;
-  const std::size_t pushed = slot.ring->try_push(conditioned);
-  slot.conditioned_bytes += pushed;
-  if (pushed < conditioned.size()) {
-    slot.pending_out.assign(conditioned.begin() + pushed, conditioned.end());
-  }
+                            slot.conditioned);
+  flush(slot);
   return true;
+}
+
+std::size_t GeneratorPool::flush(Slot& slot) {
+  const std::size_t pushed = slot.ring->try_push(
+      std::span<const std::uint8_t>(slot.conditioned).subspan(slot.flushed));
+  slot.flushed += pushed;
+  slot.conditioned_bytes += pushed;
+  return pushed;
 }
 
 void GeneratorPool::worker_main(std::size_t worker_index) {
@@ -165,6 +164,18 @@ std::uint8_t PrngBitSource::next_bit() {
   word_ >>= 1;
   --bits_left_;
   return bit;
+}
+
+void PrngBitSource::fill_words(std::span<std::uint64_t> words) {
+  for (std::uint64_t& word : words) {
+    const std::uint64_t next = rng_.next();
+    if (bits_left_ == 0) {
+      word = next;
+    } else {
+      word = word_ | (next << bits_left_);
+      word_ = next >> (64 - bits_left_);
+    }
+  }
 }
 
 void PrngBitSource::restart(std::uint64_t attempt) {

@@ -115,13 +115,19 @@ class GeneratorPool {
     std::atomic<bool> exhausted{false};
     // Producer-thread private; read by stats() only when quiescent.
     std::uint64_t conditioned_bytes = 0;
-    std::vector<std::uint8_t> pending_out;  ///< conditioned, ring was full
+    /// The last pump's conditioner output, reused across pumps; bytes from
+    /// `flushed` on are still waiting for ring space.
+    std::vector<std::uint8_t> conditioned;
+    std::size_t flushed = 0;
     bool done_producing = false;
   };
 
   /// One production step for `slot`; returns true if any progress was made
   /// (bytes pushed or raw bits consumed).
   bool pump_slot(Slot& slot);
+  /// Push what the ring takes of `slot.conditioned` from `slot.flushed` on;
+  /// returns the bytes pushed.
+  std::size_t flush(Slot& slot);
   void worker_main(std::size_t worker_index);
 
   PoolConfig config_;
@@ -141,14 +147,16 @@ class PrngBitSource final : public trng::BitSource {
   explicit PrngBitSource(std::uint64_t seed);
 
   std::uint8_t next_bit() override;
+  /// Whole generator outputs, shifted by the bits next_bit() left pending.
+  void fill_words(std::span<std::uint64_t> words) override;
   void restart(std::uint64_t attempt) override;
   std::string_view describe() const override { return "prng-source"; }
 
  private:
   std::uint64_t seed_;
   Xoshiro256 rng_;
-  std::uint64_t word_ = 0;
-  std::size_t bits_left_ = 0;
+  std::uint64_t word_ = 0;      ///< unread bits of the last output, low first
+  std::size_t bits_left_ = 0;   ///< 0..63 between calls
 };
 
 }  // namespace ringent::service

@@ -6,6 +6,11 @@
 // FIPS 180-4 algorithm. It is used as a conditioning component only — the
 // test suite pins the standard vectors ("abc", the empty string, the
 // two-block 448-bit message) so the implementation cannot drift.
+//
+// The block compression runs on the x86 SHA extensions (SHA-NI) when CPUID
+// reports them, chosen once per process with no option; everywhere else it
+// is the scalar transcription, which also stays the reference that the
+// tests compare the hardware path against.
 #pragma once
 
 #include <array>
@@ -17,6 +22,8 @@ namespace ringent::service {
 class Sha256 {
  public:
   static constexpr std::size_t digest_size = 32;
+  static constexpr std::size_t block_size = 64;
+  using State = std::array<std::uint32_t, 8>;
 
   Sha256() { reset(); }
 
@@ -39,12 +46,23 @@ class Sha256 {
     return h.finish();
   }
 
- private:
-  void compress(const std::uint8_t block[64]);
+  /// FIPS 180-4 compression of the consecutive 64-byte blocks in `blocks`
+  /// (size a multiple of 64) into `state`: compress_hardware() when
+  /// hardware_available(), compress_scalar() otherwise.
+  static void compress(State& state, std::span<const std::uint8_t> blocks);
+  /// The portable transcription of FIPS 180-4 §6.2.2.
+  static void compress_scalar(State& state,
+                              std::span<const std::uint8_t> blocks);
+  /// The SHA-NI path; call only when hardware_available().
+  static void compress_hardware(State& state,
+                                std::span<const std::uint8_t> blocks);
+  /// True when this CPU has SHA-NI (and the build targets x86-64).
+  static bool hardware_available();
 
-  std::array<std::uint32_t, 8> state_{};
+ private:
+  State state_{};
   std::uint64_t total_bytes_ = 0;
-  std::array<std::uint8_t, 64> pending_{};
+  std::array<std::uint8_t, block_size> pending_{};
   std::size_t pending_size_ = 0;
 };
 

@@ -38,6 +38,17 @@ class RepetitionCountTest {
   /// and the test fails as soon as B >= C.
   bool feed(std::uint8_t bit);
 
+  /// Word-wide check for the healthy fast path: true when feeding the 64
+  /// bits of `word` (LSB first) would keep the run below `limit` at every
+  /// one of them, so no alarm (limit <= cutoff) can fire inside the word.
+  /// Runs that continue from the previous word are counted from
+  /// current_run(); runs inside the word are found by shift-and doubling.
+  bool word_clear(std::uint64_t word, std::uint32_t limit) const;
+
+  /// Commit a word word_clear() accepted: leaves the test exactly as 64
+  /// feed() calls would.
+  void feed_word(std::uint64_t word);
+
   bool alarmed() const { return alarmed_; }
   std::uint32_t current_run() const { return run_; }
   std::uint32_t cutoff() const { return cutoff_; }
@@ -77,6 +88,16 @@ class AdaptiveProportionTest {
   ///    never double-counted in the next window (the resilience layer
   ///    relies on this when it re-arms after a relock).
   bool feed(std::uint8_t bit);
+
+  /// Word-wide check for the healthy fast path: true when the 64 bits of
+  /// `word` (LSB first) lie inside one window (a word may open or close a
+  /// window but not straddle an edge) and the reference count after them,
+  /// its maximum over the word, stays below `limit`.
+  bool word_clear(std::uint64_t word, std::uint32_t limit) const;
+
+  /// Commit a word word_clear() accepted: leaves the test exactly as 64
+  /// feed() calls would (popcount against the window's reference value).
+  void feed_word(std::uint64_t word);
 
   bool alarmed() const { return alarmed_; }
   /// Occurrences of the window's reference value so far (degradation

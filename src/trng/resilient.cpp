@@ -1,5 +1,6 @@
 #include "trng/resilient.hpp"
 
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -12,6 +13,15 @@ namespace ringent::trng {
 
 namespace metrics = sim::metrics;
 namespace histo = sim::telemetry;
+
+void BitSource::fill_words(std::span<std::uint64_t> words) {
+  for (std::uint64_t& word : words) {
+    word = 0;
+    for (unsigned i = 0; i < 64; ++i) {
+      word |= std::uint64_t{next_bit() & 1u} << i;
+    }
+  }
+}
 
 std::uint64_t backoff_for_strike(std::uint64_t base, std::uint32_t strike) {
   const std::uint32_t shift = strike > 0 ? strike - 1 : 0;
@@ -87,6 +97,18 @@ DegradationPolicy DegradationPolicy::from_json(const Json& json) {
   return policy;
 }
 
+namespace {
+
+/// The smallest count c with `c >= level` (near_threshold()'s comparison),
+/// or `cap` when no count below it qualifies.
+std::uint32_t first_count_at(double level, std::uint32_t cap) {
+  if (!(level < cap)) return cap;
+  if (!(level > 0.0)) return 0;
+  return static_cast<std::uint32_t>(std::ceil(level));
+}
+
+}  // namespace
+
 const char* to_string(DegradationState state) {
   switch (state) {
     case DegradationState::healthy: return "healthy";
@@ -114,61 +136,141 @@ ResilientGenerator::ResilientGenerator(BitSource& primary, BitSource* backup,
   RINGENT_REQUIRE(policy.backoff_bits > 0, "backoff must cover >= 1 bit");
   RINGENT_REQUIRE(policy.max_strikes > 0, "need at least one strike");
   RINGENT_REQUIRE(backup_ != primary_, "backup must be a distinct source");
+  // RCT alarms at run >= cutoff, APT at count > cutoff; near_threshold()
+  // turns suspect earlier unless suspect_fraction >= 1.
+  rct_word_limit_ = rct_.cutoff();
+  apt_word_limit_ = apt_.cutoff() + 1;
+  if (policy_.suspect_fraction < 1.0) {
+    rct_word_limit_ = first_count_at(
+        policy_.suspect_fraction * rct_.cutoff(), rct_word_limit_);
+    apt_word_limit_ = first_count_at(
+        policy_.suspect_fraction * apt_.cutoff(), apt_word_limit_);
+  }
 }
 
 std::vector<std::uint8_t> ResilientGenerator::generate(std::size_t raw_bits) {
   sim::trace::Span span("resilient-generate", "axis");
-  std::vector<std::uint8_t> out;
-  out.reserve(raw_bits);
-  const std::uint64_t muted_before = stats_.bits_muted;
-  for (std::size_t i = 0; i < raw_bits; ++i) {
-    if (state_ == DegradationState::failed) break;
-    step(active_->next_bit(), out);
+  // One spare byte: at most raw_bits bits are emitted, so the buffer never
+  // fills and only the raw budget or a `failed` latch ends the loop.
+  std::vector<std::uint8_t> packed(raw_bits / 8 + 1);
+  Carry carry;
+  const std::size_t bytes = produce(packed, carry, raw_bits);
+  packed[bytes] = carry.byte;
+  std::vector<std::uint8_t> out(bytes * 8 + carry.count);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>((packed[i / 8] >> (i % 8)) & 1u);
   }
-  metrics::bump(metrics::Counter::health_bits_muted,
-                stats_.bits_muted - muted_before);
   return out;
 }
 
 std::size_t ResilientGenerator::fill_bytes(std::span<std::uint8_t> out,
                                            std::size_t max_raw_bits) {
   sim::trace::Span span("resilient-fill-bytes", "axis");
-  std::vector<std::uint8_t> bits;
-  bits.reserve(64);
+  return produce(out, carry_, max_raw_bits);
+}
+
+std::size_t ResilientGenerator::produce(std::span<std::uint8_t> out,
+                                        Carry& carry,
+                                        std::size_t max_raw_bits) {
   const std::uint64_t muted_before = stats_.bits_muted;
   std::size_t written = 0;
   std::size_t raw_used = 0;
+  const auto emit = [&](std::uint8_t bit) {
+    carry.byte |= static_cast<std::uint8_t>(bit << carry.count);
+    if (++carry.count == 8) {
+      out[written++] = carry.byte;
+      carry = Carry{};
+    }
+  };
+  // step() emits at most one bit per raw bit, so stopping once `out` is
+  // full never drops an emitted bit.
   while (written < out.size() && raw_used < max_raw_bits &&
          state_ != DegradationState::failed) {
-    bits.clear();
-    // Pull a small batch, never more raw bits than the output has room for
-    // as emitted bits (step() emits at most one bit per raw bit), so no
-    // emitted bit is ever dropped. The carry accumulator makes the packing
-    // independent of the batch size.
-    const std::size_t room_bits = (out.size() - written) * 8 - carry_count_;
-    const std::size_t batch = std::min(
-        std::min<std::size_t>(64, max_raw_bits - raw_used), room_bits);
-    for (std::size_t i = 0; i < batch; ++i) {
-      if (state_ == DegradationState::failed) break;
-      step(active_->next_bit(), bits);
-      ++raw_used;
-    }
-    for (const std::uint8_t bit : bits) {
-      carry_byte_ |= static_cast<std::uint8_t>((bit & 1u) << carry_count_);
-      if (++carry_count_ == 8) {
-        out[written++] = carry_byte_;
-        carry_byte_ = 0;
-        carry_count_ = 0;
+    const std::size_t room_bits = (out.size() - written) * 8 - carry.count;
+    if (max_raw_bits - raw_used >= 64 && room_bits >= 64 &&
+        word_path_open()) {
+      std::uint64_t word = 0;
+      active_->fill_words(std::span<std::uint64_t>(&word, 1));
+      raw_used += 64;
+      if (take_word(word)) {
+        // 64 emitted bits after the carry: eight whole bytes, and the
+        // carry's count is unchanged.
+        const std::uint64_t low = carry.byte | (word << carry.count);
+        for (std::size_t k = 0; k < 8; ++k) {
+          out[written + k] = static_cast<std::uint8_t>(low >> (8 * k));
+        }
+        written += 8;
+        carry.byte = carry.count == 0
+                         ? 0
+                         : static_cast<std::uint8_t>(word >> (64 - carry.count));
+      } else {
+        for (unsigned i = 0; i < 64; ++i) {
+          const auto bit = static_cast<std::uint8_t>((word >> i) & 1u);
+          if (step(bit)) emit(bit);
+        }
       }
+      continue;
     }
+    const std::uint8_t bit = active_->next_bit();
+    ++raw_used;
+    if (step(bit)) emit(bit);
   }
   metrics::bump(metrics::Counter::health_bits_muted,
                 stats_.bits_muted - muted_before);
   return written;
 }
 
-void ResilientGenerator::step(std::uint8_t bit,
-                              std::vector<std::uint8_t>& out) {
+bool ResilientGenerator::word_path_open() const {
+  // A healthy word can hold at most one alarm: it must mute (not fail) and
+  // its backoff must outlast the word, so that every one of the 64 bits is
+  // pulled from the active source whatever the word holds.
+  return state_ == DegradationState::healthy &&
+         std::uint64_t{stats_.strikes} + 1 < policy_.max_strikes &&
+         backoff_for_strike(policy_.backoff_bits, stats_.strikes + 1) >= 64;
+}
+
+bool ResilientGenerator::take_word(std::uint64_t word) {
+  if (!rct_.word_clear(word, rct_word_limit_) ||
+      !apt_.word_clear(word, apt_word_limit_)) {
+    return false;
+  }
+  rct_.feed_word(word);
+  apt_.feed_word(word);
+  stats_.bits_in += 64;
+  stats_.bits_out += 64;
+  if (telemetry_ != nullptr) {
+    for (unsigned i = 0; i < 64; ++i) {
+      telemetry_->feed(static_cast<std::uint8_t>((word >> i) & 1u));
+    }
+  }
+  if (histo::enabled()) {
+    record_runs(word);
+    if (apt_.window_index() == 0) {
+      histo::record(histo::Histogram::apt_window_ones, apt_.current_count());
+    }
+  }
+  return true;
+}
+
+void ResilientGenerator::record_runs(std::uint64_t word) {
+  // Bit i of `starts` marks a run starting at bit i; bit 0 compares with
+  // the previous word's last bit.
+  std::uint64_t starts = word ^ ((word << 1) | (tele_prev_bit_ & 1u));
+  if (tele_prev_bit_ > 1) starts |= 1;  // no sample yet: nothing to close
+  std::uint64_t run = tele_run_;
+  unsigned from = 0;
+  for (; starts != 0; starts &= starts - 1) {
+    const auto at = static_cast<unsigned>(std::countr_zero(starts));
+    run += at - from;
+    if (run > 0) histo::record(histo::Histogram::rct_run_length, run);
+    run = 0;
+    from = at;
+  }
+  tele_run_ = run + (64 - from);
+  tele_prev_bit_ = static_cast<std::uint8_t>(word >> 63);
+}
+
+bool ResilientGenerator::step(std::uint8_t bit) {
   ++stats_.bits_in;
   if (telemetry_ != nullptr) telemetry_->feed(bit);
   if (histo::enabled()) {
@@ -200,13 +302,12 @@ void ResilientGenerator::step(std::uint8_t bit,
           ++stats_.apt_alarms;
           metrics::bump(metrics::Counter::health_apt_alarms);
         }
-        return;
+        return false;
       }
       if (histo::enabled() && apt_.window_index() == 0) {
         // index_ just wrapped: current_count() is the completed window's.
         histo::record(histo::Histogram::apt_window_ones, apt_.current_count());
       }
-      out.push_back(bit);
       ++stats_.bits_out;
       const bool near = near_threshold();
       if (near && state_ == DegradationState::healthy) {
@@ -214,14 +315,14 @@ void ResilientGenerator::step(std::uint8_t bit,
       } else if (!near && state_ == DegradationState::suspect) {
         transition(DegradationState::healthy, "margin-restored");
       }
-      return;
+      return true;
     }
     case DegradationState::muted: {
       // Tests are latched from the alarm; bits are burned, not inspected.
       ++stats_.bits_muted;
       if (backoff_remaining_ > 0) --backoff_remaining_;
       if (backoff_remaining_ == 0) begin_relock();
-      return;
+      return false;
     }
     case DegradationState::relocking: {
       ++stats_.bits_muted;
@@ -237,7 +338,7 @@ void ResilientGenerator::step(std::uint8_t bit,
           ++stats_.apt_alarms;
           metrics::bump(metrics::Counter::health_apt_alarms);
         }
-        return;
+        return false;
       }
       if (histo::enabled() && apt_.window_index() == 0) {
         histo::record(histo::Histogram::apt_window_ones, apt_.current_count());
@@ -252,12 +353,13 @@ void ResilientGenerator::step(std::uint8_t bit,
           stats_.recovered_bit = stats_.bits_in;
         }
       }
-      return;
+      return false;
     }
     case DegradationState::failed:
       ++stats_.bits_muted;
-      return;
+      return false;
   }
+  return false;
 }
 
 void ResilientGenerator::on_alarm(const char* reason) {

@@ -22,6 +22,20 @@
 // sources and policies
 // replay identical transition logs, which run_attack_resilience pins as
 // golden values.
+//
+// Word path. While the generator is healthy, raw bits are pulled and tested
+// 64 at a time (BitSource::fill_words, RepetitionCountTest/
+// AdaptiveProportionTest::word_clear + feed_word). A word is pulled whole
+// only when every per-bit decision inside it is already known not to pull
+// differently: the generator is healthy, >= 64 raw bits remain in the
+// budget, >= 64 output bits fit, an alarm anywhere in the word would mute
+// rather than latch `failed`, and the backoff after it covers >= 64 bits (so
+// no restart can fall inside the word). A pulled word whose bits could
+// raise an alarm, reach the suspect level or straddle an APT window edge is
+// then fed through the per-bit step() instead, so emitted bits, stats,
+// transitions, histograms and the bits taken from each source are exactly
+// those of the per-bit machine; calls with < 64 raw bits left never reach
+// the word path, which makes generate(1) in a loop the per-bit reference.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +54,22 @@ namespace ringent::trng {
 /// produces one sampled bit at a time and supports a restart (re-lock)
 /// request. core::RingBitSource adapts a simulated oscillator; tests use
 /// deterministic synthetic sources.
+///
+/// The stream can also be pulled 64 bits at a time with fill_words(); a
+/// word holds the next 64 bits of the very same stream, LSB first (bit i of
+/// a word is what the i-th next_bit() call would have returned), so callers
+/// may mix the two freely.
 class BitSource {
  public:
   virtual ~BitSource() = default;
 
   /// Produce the next raw bit of the stream.
   virtual std::uint8_t next_bit() = 0;
+
+  /// Fill `words` with the next 64 * words.size() raw bits, LSB first.
+  /// Default: one next_bit() call per bit; sources that hold their stream
+  /// in words (PrngBitSource) override it.
+  virtual void fill_words(std::span<std::uint64_t> words);
 
   /// Restart the underlying physical source (ring power-cycle / re-lock).
   /// `attempt` numbers the restarts so implementations can derive fresh
@@ -141,6 +165,7 @@ class ResilientGenerator {
 
   /// Pull `raw_bits` bits through the monitors; returns the emitted
   /// (non-muted) bits, possibly fewer — and stops early once `failed`.
+  /// Runs fill_bytes()'s word loop into a packed buffer and unpacks it.
   std::vector<std::uint8_t> generate(std::size_t raw_bits);
 
   /// Byte-emission hook for the service layer: pull up to `max_raw_bits`
@@ -154,7 +179,7 @@ class ResilientGenerator {
                          std::size_t max_raw_bits);
 
   /// Bits currently carried toward the next byte (0..7); test hook.
-  std::size_t pending_bits() const { return carry_count_; }
+  std::size_t pending_bits() const { return carry_.count; }
 
   DegradationState state() const { return state_; }
   const ResilientStats& stats() const { return stats_; }
@@ -178,7 +203,27 @@ class ResilientGenerator {
   }
 
  private:
-  void step(std::uint8_t bit, std::vector<std::uint8_t>& out);
+  /// Partial output byte (LSB-first) carried between whole bytes.
+  struct Carry {
+    std::uint8_t byte = 0;
+    std::size_t count = 0;  ///< 0..7
+  };
+
+  /// The one production loop behind generate() and fill_bytes(): pull up to
+  /// `max_raw_bits` raw bits, pack emitted bits after `carry` into `out`,
+  /// return the complete bytes written.
+  std::size_t produce(std::span<std::uint8_t> out, Carry& carry,
+                      std::size_t max_raw_bits);
+  /// True when the next 64 raw bits may be pulled as one word (see the
+  /// file comment).
+  bool word_path_open() const;
+  /// Test a pulled word whole; false (nothing changed) when it must be
+  /// stepped bit by bit instead.
+  bool take_word(std::uint64_t word);
+  /// Per-bit state machine; true when `bit` is emitted.
+  bool step(std::uint8_t bit);
+  /// Record the completed raw-stream runs a taken word ends (histograms).
+  void record_runs(std::uint64_t word);
   void transition(DegradationState to, std::string reason);
   void on_alarm(const char* reason);
   void begin_relock();
@@ -196,9 +241,11 @@ class ResilientGenerator {
   std::vector<StateTransition> transitions_;
   std::uint64_t backoff_remaining_ = 0;
   std::uint64_t probation_remaining_ = 0;
-  // fill_bytes() partial-byte accumulator (LSB-first).
-  std::uint8_t carry_byte_ = 0;
-  std::size_t carry_count_ = 0;
+  // First RCT run / APT count at which step() does more than emit the bit
+  // (suspect level or alarm): word_clear() limits.
+  std::uint32_t rct_word_limit_ = 0;
+  std::uint32_t apt_word_limit_ = 0;
+  Carry carry_;  ///< fill_bytes() bits carried toward the next byte
   telemetry::StreamingEntropy* telemetry_ = nullptr;
   // Histogram-telemetry trackers (maintained only while collection is on).
   std::uint8_t tele_prev_bit_ = 2;

@@ -10,14 +10,20 @@
 //    comparison supplies the +1); a window is exactly `window` samples; and
 //    reset() after an alarm discards the triggering bit so it is never
 //    double-counted in the next window.
+//
+// The word-wide word_clear()/feed_word() pair is checked against 64 feed()
+// calls on run-heavy random streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "trng/health.hpp"
 
 using namespace ringent::trng;
+using ringent::Xoshiro256;
 
 namespace {
 
@@ -129,6 +135,100 @@ TEST(HealthBoundary, CutoffFormulasMatchHandComputation) {
   const std::uint32_t cutoff = apt_cutoff(1.0, 1024, 20.0);
   EXPECT_GE(cutoff, 512u);
   EXPECT_LE(cutoff, 1024u);
+}
+
+/// Bits in runs of 1..max_run identical values, so runs cross word edges.
+class RunnyBits {
+ public:
+  RunnyBits(std::uint64_t seed, std::uint32_t max_run)
+      : rng_(seed), max_run_(max_run) {}
+  std::uint8_t next() {
+    if (left_ == 0) {
+      value_ ^= 1u;
+      left_ = 1 + static_cast<std::uint32_t>(rng_.next() % max_run_);
+    }
+    --left_;
+    return value_;
+  }
+  std::uint64_t word() {
+    std::uint64_t w = 0;
+    for (unsigned i = 0; i < 64; ++i) w |= std::uint64_t{next()} << i;
+    return w;
+  }
+
+ private:
+  Xoshiro256 rng_;
+  std::uint32_t max_run_;
+  std::uint32_t left_ = 0;
+  std::uint8_t value_ = 0;
+};
+
+TEST(HealthWords, RctWordClearAndFeedWordMatchSixtyFourFeeds) {
+  Xoshiro256 rng(0x5C7);
+  int committed = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto cutoff = static_cast<std::uint32_t>(2 + rng.next() % 120);
+    RunnyBits stream(rng.next(), 1 + static_cast<std::uint32_t>(rng.next() % 90));
+    RepetitionCountTest by_bit(cutoff);
+    for (std::uint64_t n = rng.next() % 200; n > 0; --n) by_bit.feed(stream.next());
+    if (by_bit.alarmed()) continue;
+    RepetitionCountTest by_word = by_bit;
+    const std::uint64_t word = stream.word();
+    const auto limit = static_cast<std::uint32_t>(1 + rng.next() % cutoff);
+    std::uint32_t peak = 0;
+    for (unsigned i = 0; i < 64; ++i) {
+      by_bit.feed(static_cast<std::uint8_t>(word >> i & 1u));
+      peak = std::max(peak, by_bit.current_run());
+    }
+    ASSERT_EQ(by_word.word_clear(word, limit), peak < limit)
+        << "trial " << trial;
+    if (peak >= limit) continue;
+    ++committed;
+    by_word.feed_word(word);
+    // Same run now, and the same last value: the next bits agree.
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_EQ(by_word.current_run(), by_bit.current_run()) << trial;
+      const std::uint8_t bit = stream.next();
+      ASSERT_EQ(by_word.feed(bit), by_bit.feed(bit)) << trial;
+    }
+  }
+  EXPECT_GT(committed, 500);
+}
+
+TEST(HealthWords, AptWordClearAndFeedWordMatchSixtyFourFeeds) {
+  Xoshiro256 rng(0xA97);
+  const std::size_t windows[] = {64, 100, 128, 1000, 1024};
+  int committed = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t window = windows[rng.next() % 5];
+    const auto cutoff =
+        static_cast<std::uint32_t>(window / 2 + rng.next() % (window / 2 + 1));
+    RunnyBits stream(rng.next(), 1 + static_cast<std::uint32_t>(rng.next() % 8));
+    AdaptiveProportionTest by_bit(cutoff, window);
+    for (std::uint64_t n = rng.next() % 3000; n > 0; --n) by_bit.feed(stream.next());
+    if (by_bit.alarmed()) continue;
+    AdaptiveProportionTest by_word = by_bit;
+    const std::uint64_t word = stream.word();
+    const auto limit = static_cast<std::uint32_t>(1 + rng.next() % (cutoff + 1));
+    const bool inside = by_bit.window_index() + 64 <= window;
+    std::uint32_t peak = 0;
+    for (unsigned i = 0; i < 64; ++i) {
+      by_bit.feed(static_cast<std::uint8_t>(word >> i & 1u));
+      peak = std::max(peak, by_bit.current_count());
+    }
+    ASSERT_EQ(by_word.word_clear(word, limit), inside && peak < limit)
+        << "trial " << trial;
+    if (!inside || peak >= limit) continue;
+    ++committed;
+    by_word.feed_word(word);
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_EQ(by_word.current_count(), by_bit.current_count()) << trial;
+      ASSERT_EQ(by_word.window_index(), by_bit.window_index()) << trial;
+      const std::uint8_t bit = stream.next();
+      ASSERT_EQ(by_word.feed(bit), by_bit.feed(bit)) << trial;
+    }
+  }
+  EXPECT_GT(committed, 500);
 }
 
 }  // namespace

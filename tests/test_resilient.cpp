@@ -5,15 +5,21 @@
 // scripted attack) is pinned by the tier-2 golden suite in test_attack.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "core/ring_source.hpp"
 #include "noise/fault.hpp"
+#include "sim/telemetry.hpp"
 #include "trng/health.hpp"
 #include "trng/resilient.hpp"
+#include "trng/telemetry.hpp"
 
 using namespace ringent;
 using namespace ringent::trng;
@@ -366,6 +372,401 @@ TEST(Resilient, FillBytesStopsEarlyOnFailedGenerator) {
   EXPECT_LT(gen.stats().bits_in, std::uint64_t{1} << 30);
   // Once failed, further calls produce nothing.
   EXPECT_EQ(gen.fill_bytes(std::span<std::uint8_t>(buffer, 16), 1024), 0u);
+}
+
+// --- Word path against bit path ---------------------------------------------
+//
+// generate()/fill_bytes() take a healthy generator's raw bits 64 at a time;
+// generate(1) never has 64 raw bits left and so is the per-bit reference.
+// Each case drives one stream four ways and demands identical emitted bits,
+// stats, transition logs, health histogram bins, streaming observables and
+// bits pulled from each source.
+
+namespace {
+
+/// A stream over (restart attempt, raw-bit index) that counts the bits it
+/// hands out. The index keeps running across restarts, so a scripted fault
+/// stays put in absolute bit time.
+using Script = std::function<std::uint8_t(std::uint64_t, std::uint64_t)>;
+
+class CountingSource final : public BitSource {
+ public:
+  explicit CountingSource(Script script) : script_(std::move(script)) {}
+  std::uint8_t next_bit() override { return script_(attempt_, index_++); }
+  void restart(std::uint64_t attempt) override { attempt_ = attempt; }
+  std::uint64_t pulled() const { return index_; }
+
+ private:
+  Script script_;
+  std::uint64_t attempt_ = 0;
+  std::uint64_t index_ = 0;
+};
+
+std::uint64_t mix(std::uint64_t seed, std::uint64_t attempt,
+                  std::uint64_t index) {
+  return SplitMix64(seed ^ (attempt * 0xA24BAED4963EE407ull) ^
+                    (index * 0x9FB21C651E98DF25ull))
+      .next();
+}
+
+Script random_script(std::uint64_t seed) {
+  return [seed](std::uint64_t attempt, std::uint64_t index) {
+    return static_cast<std::uint8_t>(mix(seed, attempt, index / 64) >>
+                                     (index % 64) & 1u);
+  };
+}
+
+Script biased_script(double p_one, std::uint64_t seed) {
+  return [p_one, seed](std::uint64_t attempt, std::uint64_t index) {
+    const double u =
+        static_cast<double>(mix(seed, attempt, index) >> 11) * 0x1p-53;
+    return static_cast<std::uint8_t>(u < p_one);
+  };
+}
+
+/// `base` everywhere except [from, to), which is stuck at `value`.
+Script stuck_script(Script base, std::uint64_t from, std::uint64_t to,
+                    std::uint8_t value = 1) {
+  return [base = std::move(base), from, to, value](std::uint64_t attempt,
+                                                   std::uint64_t index) {
+    return index >= from && index < to ? value : base(attempt, index);
+  };
+}
+
+/// A fixed bit vector (0101... past its end), the same after any restart.
+Script vector_script(std::vector<std::uint8_t> bits) {
+  return [bits = std::move(bits)](std::uint64_t, std::uint64_t index) {
+    return index < bits.size() ? bits[index]
+                               : static_cast<std::uint8_t>(index & 1u);
+  };
+}
+
+/// Alternating background with a run of `length` ones whose last bit is at
+/// `end`; the background next to the run is zero, so the run is exact.
+std::vector<std::uint8_t> alternating_with_runs(
+    std::size_t size,
+    const std::vector<std::pair<std::size_t, std::size_t>>& end_and_length) {
+  std::vector<std::uint8_t> bits(size);
+  for (std::size_t i = 0; i < size; ++i) bits[i] = i & 1u;
+  for (const auto& [end, length] : end_and_length) {
+    for (std::size_t i = end + 1 - length; i <= end; ++i) bits[i] = 1;
+    bits[end - length] = 0;
+    bits[end + 1] = 0;
+  }
+  return bits;
+}
+
+struct WordCase {
+  DegradationPolicy policy;
+  Script primary;
+  Script backup;  ///< empty: no backup source
+  std::size_t raw_bits = 0;
+};
+
+enum class Drive { per_bit, generate_whole, generate_chunked, fill_bytes };
+
+struct Observed {
+  std::vector<std::uint8_t> bits;
+  ResilientStats stats;
+  std::vector<StateTransition> transitions;
+  DegradationState state = DegradationState::healthy;
+  std::uint64_t primary_pulled = 0;
+  std::uint64_t backup_pulled = 0;
+  sim::telemetry::Snapshot histograms;
+  std::uint64_t stream_bits = 0;
+  double stream_bias = 0.0;
+  double stream_markov = 0.0;
+  std::vector<double> stream_autocorrelation;
+};
+
+void append(std::vector<std::uint8_t>& to,
+            const std::vector<std::uint8_t>& bits) {
+  to.insert(to.end(), bits.begin(), bits.end());
+}
+
+Observed drive(const WordCase& word_case, Drive how) {
+  namespace histo = sim::telemetry;
+  CountingSource primary(word_case.primary);
+  CountingSource backup(word_case.backup ? word_case.backup
+                                         : random_script(0));
+  ResilientGenerator gen(primary, word_case.backup ? &backup : nullptr,
+                         word_case.policy);
+  telemetry::StreamingEntropy stream;
+  gen.attach_telemetry(&stream);
+  const bool was_enabled = histo::enabled();
+  histo::set_enabled(true);
+  const histo::Snapshot before = histo::snapshot();
+
+  Observed seen;
+  const std::size_t total = word_case.raw_bits;
+  const auto spent = [&] {
+    return gen.stats().bits_in >= total ||
+           gen.state() == DegradationState::failed;
+  };
+  switch (how) {
+    case Drive::per_bit:
+      for (std::size_t i = 0; i < total; ++i) append(seen.bits, gen.generate(1));
+      break;
+    case Drive::generate_whole:
+      seen.bits = gen.generate(total);
+      break;
+    case Drive::generate_chunked: {
+      const std::size_t chunks[] = {64, 1000, 63, 1, 129, 4096, 65};
+      for (std::size_t k = 0; !spent(); ++k) {
+        const std::size_t left = total - gen.stats().bits_in;
+        append(seen.bits, gen.generate(std::min(chunks[k % 7], left)));
+      }
+      break;
+    }
+    case Drive::fill_bytes: {
+      // Awkward buffers and raw budgets, so calls end on a full buffer, a
+      // spent budget and a partial byte in turn.
+      const std::size_t buffers[] = {1, 9, 64, 3, 200, 8};
+      const std::size_t budgets[] = {4096, 63, 64, 1, 65, 777, 500};
+      std::vector<std::uint8_t> bytes;
+      for (std::size_t k = 0; !spent(); ++k) {
+        std::uint8_t buffer[200];
+        const std::size_t left = total - gen.stats().bits_in;
+        const std::size_t got = gen.fill_bytes(
+            std::span<std::uint8_t>(buffer, buffers[k % 6]),
+            std::min(budgets[k % 7], left));
+        bytes.insert(bytes.end(), buffer, buffer + got);
+      }
+      for (const std::uint8_t byte : bytes) {
+        for (std::size_t b = 0; b < 8; ++b) {
+          seen.bits.push_back(static_cast<std::uint8_t>(byte >> b & 1u));
+        }
+      }
+      // The carried bits are not observable yet; the reference has them.
+      seen.bits.resize(seen.bits.size() + gen.pending_bits(), 2);
+      break;
+    }
+  }
+
+  seen.histograms = histo::snapshot().delta_since(before);
+  histo::set_enabled(was_enabled);
+  seen.stats = gen.stats();
+  seen.transitions = gen.transitions();
+  seen.state = gen.state();
+  seen.primary_pulled = primary.pulled();
+  seen.backup_pulled = backup.pulled();
+  seen.stream_bits = stream.bits();
+  seen.stream_bias = stream.bias();
+  seen.stream_markov = stream.markov_min_entropy();
+  seen.stream_autocorrelation = stream.window_autocorrelation();
+  return seen;
+}
+
+void expect_same_stats(const ResilientStats& a, const ResilientStats& b) {
+  EXPECT_EQ(a.bits_in, b.bits_in);
+  EXPECT_EQ(a.bits_out, b.bits_out);
+  EXPECT_EQ(a.bits_muted, b.bits_muted);
+  EXPECT_EQ(a.rct_alarms, b.rct_alarms);
+  EXPECT_EQ(a.apt_alarms, b.apt_alarms);
+  EXPECT_EQ(a.relock_attempts, b.relock_attempts);
+  EXPECT_EQ(a.failovers, b.failovers);
+  EXPECT_EQ(a.strikes, b.strikes);
+  EXPECT_EQ(a.alarmed, b.alarmed);
+  EXPECT_EQ(a.first_alarm_bit, b.first_alarm_bit);
+  EXPECT_EQ(a.recovered, b.recovered);
+  EXPECT_EQ(a.recovered_bit, b.recovered_bit);
+}
+
+/// Drives `word_case` every way and checks each against the per-bit
+/// reference, which it returns for case-specific coverage checks.
+Observed expect_word_path_matches_bit_path(const WordCase& word_case) {
+  namespace histo = sim::telemetry;
+  const Observed ref = drive(word_case, Drive::per_bit);
+  for (const Drive how : {Drive::generate_whole, Drive::generate_chunked,
+                          Drive::fill_bytes}) {
+    SCOPED_TRACE("drive " + std::to_string(static_cast<int>(how)));
+    const Observed seen = drive(word_case, how);
+    EXPECT_EQ(seen.bits.size(), ref.bits.size());
+    std::size_t differs = ref.bits.size();
+    for (std::size_t i = 0; i < std::min(seen.bits.size(), differs); ++i) {
+      // 2 marks a bit fill_bytes still carries, not yet packed.
+      if (seen.bits[i] != 2 && seen.bits[i] != ref.bits[i]) differs = i;
+    }
+    EXPECT_EQ(differs, ref.bits.size()) << "first differing emitted bit";
+    expect_same_stats(seen.stats, ref.stats);
+    EXPECT_EQ(seen.state, ref.state);
+    EXPECT_EQ(seen.transitions.size(), ref.transitions.size());
+    for (std::size_t i = 0;
+         i < std::min(seen.transitions.size(), ref.transitions.size()); ++i) {
+      EXPECT_EQ(seen.transitions[i].from, ref.transitions[i].from) << i;
+      EXPECT_EQ(seen.transitions[i].to, ref.transitions[i].to) << i;
+      EXPECT_EQ(seen.transitions[i].at_bit, ref.transitions[i].at_bit) << i;
+      EXPECT_EQ(seen.transitions[i].reason, ref.transitions[i].reason) << i;
+    }
+    EXPECT_EQ(seen.primary_pulled, ref.primary_pulled);
+    EXPECT_EQ(seen.backup_pulled, ref.backup_pulled);
+    for (const histo::Histogram h :
+         {histo::Histogram::rct_run_length, histo::Histogram::apt_window_ones,
+          histo::Histogram::bits_between_alarms,
+          histo::Histogram::relock_duration_bits}) {
+      const std::size_t i = static_cast<std::size_t>(h);
+      EXPECT_EQ(seen.histograms.buckets[i], ref.histograms.buckets[i])
+          << histo::histogram_name(h);
+      EXPECT_EQ(seen.histograms.counts[i], ref.histograms.counts[i])
+          << histo::histogram_name(h);
+      EXPECT_EQ(seen.histograms.sums[i], ref.histograms.sums[i])
+          << histo::histogram_name(h);
+    }
+    EXPECT_EQ(seen.stream_bits, ref.stream_bits);
+    EXPECT_EQ(seen.stream_bias, ref.stream_bias);
+    EXPECT_EQ(seen.stream_markov, ref.stream_markov);
+    EXPECT_EQ(seen.stream_autocorrelation, ref.stream_autocorrelation);
+  }
+  return ref;
+}
+
+}  // namespace
+
+TEST(ResilientWordPath, RandomStreamMatchesBitPath) {
+  WordCase word_case{test_policy(), random_script(11), {}, 40'000};
+  const Observed ref = expect_word_path_matches_bit_path(word_case);
+  EXPECT_EQ(ref.stats.bits_out, 40'000u);  // clean: nothing muted
+  // The advisory suspect state still flickers on APT counts, which sends
+  // those stretches through step().
+  EXPECT_FALSE(ref.transitions.empty());
+}
+
+TEST(ResilientWordPath, BiasedStreamWithFailoverMatchesBitPath) {
+  // Ones at 0.9 trip the APT; strikes escalate to a failover onto the
+  // random backup, which then serves words again.
+  WordCase word_case{test_policy(), biased_script(0.9, 3), random_script(4),
+                     60'000};
+  const Observed ref = expect_word_path_matches_bit_path(word_case);
+  EXPECT_GE(ref.stats.apt_alarms, 2u);
+  EXPECT_EQ(ref.stats.failovers, 1u);
+  EXPECT_GT(ref.backup_pulled, 10'000u);
+}
+
+TEST(ResilientWordPath, StuckStreamsMatchBitPath) {
+  // Stuck from the first bit: every relock fails until the latch.
+  {
+    WordCase word_case{test_policy(), stuck_script(random_script(5), 0, ~0ull),
+                       {}, 20'000};
+    const Observed ref = expect_word_path_matches_bit_path(word_case);
+    EXPECT_EQ(ref.state, DegradationState::failed);
+  }
+  // A transient stuck-at fault, muted, relocked and recovered.
+  {
+    WordCase word_case{test_policy(),
+                       stuck_script(random_script(6), 3000, 3300, 0), {},
+                       20'000};
+    const Observed ref = expect_word_path_matches_bit_path(word_case);
+    EXPECT_EQ(ref.stats.rct_alarms, 1u);
+    EXPECT_TRUE(ref.stats.recovered);
+  }
+}
+
+TEST(ResilientWordPath, RunsAcrossWordBoundariesMatchBitPath) {
+  // H = 1: RCT cutoff 21, suspect at run 13. Runs one short of and at
+  // each level, inside a word and straddling word edges.
+  DegradationPolicy policy;
+  policy.claimed_min_entropy = 1.0;
+  ASSERT_EQ(rct_cutoff(1.0), 21u);
+  const std::vector<std::pair<std::size_t, std::size_t>> runs = {
+      {140, 12}, {300, 12}, {390, 13}, {700, 13}, {1000, 20}, {1290, 20},
+      {5000, 21}, {9000, 12}, {9500, 64}};
+  const std::vector<std::uint8_t> bits = alternating_with_runs(12'000, runs);
+  for (const double suspect : {0.6, 1.0}) {
+    SCOPED_TRACE(suspect);
+    policy.suspect_fraction = suspect;
+    WordCase word_case{policy, vector_script(bits), {}, 12'000};
+    const Observed ref = expect_word_path_matches_bit_path(word_case);
+    EXPECT_EQ(ref.stats.first_alarm_bit, 5001u);
+  }
+  // H = 0.3 (cutoff 68): runs longer than a word, across two boundaries.
+  const std::vector<std::uint8_t> long_runs =
+      alternating_with_runs(8000, {{1100, 40}, {2000, 67}, {4000, 68}});
+  WordCase word_case{test_policy(), vector_script(long_runs), {}, 8000};
+  const Observed ref = expect_word_path_matches_bit_path(word_case);
+  EXPECT_EQ(ref.stats.first_alarm_bit, 4001u);
+}
+
+TEST(ResilientWordPath, AlarmOnFirstAndLastBitOfAWordMatchesBitPath) {
+  // suspect_fraction 1 keeps the generator healthy up to the alarm, so the
+  // alarming word is pulled whole and must fall back to step().
+  DegradationPolicy policy = test_policy();
+  policy.suspect_fraction = 1.0;
+  const std::size_t cutoff = rct_cutoff(0.3);
+  for (const std::size_t end : {std::size_t{64 * 40}, std::size_t{64 * 40 + 63}}) {
+    SCOPED_TRACE(end);
+    WordCase word_case{policy,
+                       vector_script(alternating_with_runs(
+                           10'000, {{end, cutoff}})),
+                       {},
+                       10'000};
+    const Observed ref = expect_word_path_matches_bit_path(word_case);
+    EXPECT_EQ(ref.stats.rct_alarms, 1u);
+    EXPECT_EQ(ref.stats.first_alarm_bit, end + 1);
+  }
+}
+
+TEST(ResilientWordPath, AptAlarmAtAWindowEdgeMatchesBitPath) {
+  // Window 0 holds exactly `cutoff` ones (reference included) in its first
+  // 1023 samples and a one in its last: the alarm fires on the window's
+  // final bit. Ones are spread so no run nears the RCT cutoff.
+  DegradationPolicy policy = test_policy();
+  policy.suspect_fraction = 1.0;
+  const std::size_t window = policy.apt_window;
+  const std::size_t cutoff = apt_cutoff(0.3, window);
+  const std::size_t zeros = window - 1 - cutoff;
+  std::vector<std::uint8_t> bits(8000);
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = i & 1u;
+  std::fill(bits.begin(), bits.begin() + window, 1);
+  for (std::size_t k = 0; k < zeros; ++k) bits[1 + k * (window - 2) / zeros] = 0;
+  bits[window - 1] = 1;
+  ASSERT_EQ(std::count(bits.begin(), bits.begin() + window - 1, 1), cutoff);
+  WordCase word_case{policy, vector_script(bits), {}, 8000};
+  const Observed ref = expect_word_path_matches_bit_path(word_case);
+  EXPECT_EQ(ref.stats.apt_alarms, 1u);
+  EXPECT_EQ(ref.stats.first_alarm_bit, window);
+}
+
+TEST(ResilientWordPath, AptWindowsOffTheWordGridMatchBitPath) {
+  for (const std::size_t window : {std::size_t{100}, std::size_t{1000}}) {
+    SCOPED_TRACE(window);
+    DegradationPolicy policy = test_policy();
+    policy.apt_window = window;
+    WordCase random_case{policy, random_script(21), {}, 30'000};
+    expect_word_path_matches_bit_path(random_case);
+    WordCase biased_case{policy, biased_script(0.9, 22), random_script(23),
+                         30'000};
+    const Observed ref = expect_word_path_matches_bit_path(biased_case);
+    // A 100-sample window clamps the cutoff to the window: it cannot alarm.
+    if (window == 1000) {
+      EXPECT_GE(ref.stats.apt_alarms, 1u);
+    }
+  }
+}
+
+TEST(ResilientWordPath, ShortBackoffAndSingleStrikeMatchBitPath) {
+  // backoff_bits 16 doubles to >= 64 only at the third strike: the word
+  // path stays shut until then and opens after.
+  DegradationPolicy short_backoff = test_policy();
+  short_backoff.backoff_bits = 16;
+  short_backoff.max_strikes = 5;
+  short_backoff.probation_bits = 128;
+  Script faults = stuck_script(
+      stuck_script(stuck_script(random_script(31), 2000, 2100), 6000, 6100),
+      10'000, 10'100);
+  WordCase backoff_case{short_backoff, faults, {}, 20'000};
+  const Observed backoff_ref = expect_word_path_matches_bit_path(backoff_case);
+  EXPECT_EQ(backoff_ref.stats.rct_alarms, 3u);
+  EXPECT_EQ(backoff_ref.state, DegradationState::healthy);
+
+  // max_strikes 1: the first alarm latches `failed`, so no word is pulled
+  // ahead of it.
+  DegradationPolicy one_strike = test_policy();
+  one_strike.max_strikes = 1;
+  WordCase strike_case{one_strike, stuck_script(random_script(32), 3000, ~0ull),
+                       random_script(33), 20'000};
+  const Observed strike_ref = expect_word_path_matches_bit_path(strike_case);
+  EXPECT_EQ(strike_ref.state, DegradationState::failed);
+  EXPECT_EQ(strike_ref.backup_pulled, 0u);
 }
 
 TEST(FaultScenario, ValidateRejectsMalformedWindows) {

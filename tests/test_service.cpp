@@ -2,7 +2,9 @@
 //
 //  * SpscRing — SPSC byte ring unit tests incl. wraparound and the
 //    power-of-two capacity contract;
-//  * Sha256 — FIPS 180-4 test vectors and streaming-chunk invariance;
+//  * Sha256 — FIPS 180-4 test vectors, padding-boundary digests,
+//    streaming-chunk invariance and SHA-NI against the scalar compression;
+//  * PrngBitSource — word fetches interleaved with bits and restarts;
 //  * conditioners — golden-pinned output (bit-exact regression anchors),
 //    chunking invariance and reset semantics;
 //  * pool + front-end — starvation paths (all slots failed, all slots
@@ -13,8 +15,10 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/calibration.hpp"
 #include "core/experiments.hpp"
 #include "service/conditioner.hpp"
@@ -147,6 +151,106 @@ TEST(Sha256, StreamingChunksMatchOneShot) {
   }
   h.update(std::span<const std::uint8_t>(msg).subspan(off));
   EXPECT_EQ(h.finish(), ref);
+}
+
+TEST(Sha256, PaddingBoundaryLengthsMatchReferenceDigests) {
+  // Lengths around the 55/56-byte boundary where the length field spills
+  // into a second padding block; digests computed once with Python's
+  // hashlib over bytes (37 i + 11) mod 256.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "2900465fcb533e05a158fd2b3be0e5e3b03740d83060aa3580e0d98a96bf2384"},
+      {56, "31454ff48ef36af2f08fd511bdc37d9d5855ac23e992e5ff5445cb6b7674a674"},
+      {63, "5f6401b96532c36de4e65beec0409b69b1d181864c8009b7a04f43e5d56350d1"},
+      {64, "94eb5de4943613fd048dc93393ab06877405faa39c11f53e9386083339833e7e"},
+      {119, "b0dc41b1a384e2f1203f0351b38fbeaafceef577ce1191d5bfc25da39f721eae"},
+      {120, "5df24dd802ac26132ce608dcb5f09841eef039ee0f152acf98d26d17fe4e88e6"},
+  };
+  for (const auto& [length, expected] : cases) {
+    Bytes msg(length);
+    for (std::size_t i = 0; i < length; ++i) {
+      msg[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    EXPECT_EQ(hex(service::Sha256::digest(msg)), expected) << length;
+    // Byte-at-a-time leaves every pending size in front of finish().
+    service::Sha256 h;
+    for (const std::uint8_t byte : msg) {
+      h.update(std::span<const std::uint8_t>(&byte, 1));
+    }
+    EXPECT_EQ(hex(h.finish()), expected) << length;
+  }
+}
+
+TEST(Sha256, PlatformCompressMatchesScalar) {
+  Xoshiro256 rng(0x5A256);
+  for (int trial = 0; trial < 64; ++trial) {
+    service::Sha256::State state;
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.next());
+    Bytes blocks(64 * (1 + rng.next() % 4));
+    for (auto& byte : blocks) byte = static_cast<std::uint8_t>(rng.next());
+    service::Sha256::State platform = state;
+    service::Sha256::compress(platform, blocks);
+    service::Sha256::compress_scalar(state, blocks);
+    EXPECT_EQ(platform, state) << "trial " << trial;
+  }
+}
+
+TEST(Sha256, HardwareCompressMatchesScalarOverRandomBlocksAndChunkings) {
+  if (!service::Sha256::hardware_available()) {
+    GTEST_SKIP() << "this CPU has no SHA-NI";
+  }
+  Xoshiro256 rng(0x5A257);
+  for (int trial = 0; trial < 256; ++trial) {
+    service::Sha256::State scalar;
+    for (auto& word : scalar) word = static_cast<std::uint32_t>(rng.next());
+    const std::size_t count = 1 + rng.next() % 9;
+    Bytes blocks(64 * count);
+    for (auto& byte : blocks) byte = static_cast<std::uint8_t>(rng.next());
+    // Hardware over all blocks at once and in random runs of blocks.
+    service::Sha256::State whole = scalar;
+    service::Sha256::State runs = scalar;
+    service::Sha256::compress_hardware(whole, blocks);
+    for (std::size_t done = 0; done < count;) {
+      const std::size_t take = 1 + rng.next() % (count - done);
+      service::Sha256::compress_hardware(
+          runs, std::span<const std::uint8_t>(blocks).subspan(64 * done,
+                                                              64 * take));
+      done += take;
+    }
+    service::Sha256::compress_scalar(scalar, blocks);
+    EXPECT_EQ(whole, scalar) << "trial " << trial;
+    EXPECT_EQ(runs, scalar) << "trial " << trial;
+  }
+}
+
+TEST(PrngBitSource, InterleavedWordsBitsAndRestartsReplayTheBitStream) {
+  // `words` mixes fill_words, next_bit and restart; `bits` sees the same
+  // restarts at the same stream positions but only ever calls next_bit.
+  service::PrngBitSource words(99);
+  service::PrngBitSource bits(99);
+  Xoshiro256 ops(7);
+  std::uint64_t attempt = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const std::uint64_t kind = ops.next() % 8;
+    if (kind == 0) {
+      words.restart(++attempt);
+      bits.restart(attempt);
+    } else if (kind < 4) {
+      std::uint64_t got[3];
+      const std::size_t n = 1 + ops.next() % 3;
+      words.fill_words(std::span<std::uint64_t>(got, n));
+      for (std::size_t w = 0; w < n; ++w) {
+        for (unsigned i = 0; i < 64; ++i) {
+          ASSERT_EQ((got[w] >> i) & 1u, bits.next_bit())
+              << "op " << op << " word " << w << " bit " << i;
+        }
+      }
+    } else {
+      for (std::uint64_t i = ops.next() % 100; i > 0; --i) {
+        ASSERT_EQ(words.next_bit(), bits.next_bit()) << "op " << op;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
