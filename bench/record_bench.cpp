@@ -11,9 +11,12 @@
 // simulated events). A report run with --benchmark_repetitions=N records
 // the median repetition plus {repetitions, cv} (coefficient of variation
 // of events_per_sec over the repetitions). The sha and date are passed in
-// explicitly so this tool stays a pure JSON transformer — no git or clock
-// dependency, and reruns are reproducible. See docs/architecture.md §Kernel performance for how the
-// numbers are meant to be (re)generated and read.
+// explicitly — no git or clock dependency. Each entry also carries the
+// fingerprint of the host that runs record_bench (run it where the report
+// was measured): nproc, CPU model and the ISA flags the hot paths dispatch
+// on (popcnt, avx2, avx512f, sha_ni), read from /proc/cpuinfo ("unknown"
+// and false where that file is absent). See docs/architecture.md §Kernel
+// performance for how the numbers are meant to be (re)generated and read.
 //
 // --telemetry <file> additionally folds the newest "ringent.telemetry/1"
 // snapshot from that JSONL sink (as written by --telemetry/RINGENT_TELEMETRY
@@ -25,6 +28,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,6 +78,34 @@ ringent::Json telemetry_summaries(const std::string& path) {
     out.push_back(std::move(entry));
   }
   return out;
+}
+
+/// nproc, CPU model and ISA flags of the host running this tool.
+ringent::Json host_fingerprint() {
+  std::string model = "unknown";
+  std::string flags;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    std::string key = line.substr(0, colon);
+    key.erase(key.find_last_not_of(" \t") + 1);
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    const std::string value =
+        start == std::string::npos ? std::string() : line.substr(start);
+    if (key == "model name" && model == "unknown") model = value;
+    if (key == "flags" && flags.empty()) flags = " " + value + " ";
+  }
+  ringent::Json host = ringent::Json::object();
+  host.set("nproc",
+           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  host.set("cpu_model", model);
+  for (const char* flag : {"popcnt", "avx2", "avx512f", "sha_ni"}) {
+    host.set(flag, flags.find(" " + std::string(flag) + " ") !=
+                       std::string::npos);
+  }
+  return host;
 }
 
 }  // namespace
@@ -171,6 +203,7 @@ int main(int argc, char** argv) {
     record.set("date", date);
     record.set("sha", sha);
     if (!note.empty()) record.set("note", note);
+    record.set("host", host_fingerprint());
     record.set("benchmarks", std::move(results));
     if (!telemetry_path.empty()) {
       record.set("telemetry", telemetry_summaries(telemetry_path));

@@ -13,6 +13,10 @@
 #include <iosfwd>
 #include <limits>
 
+#if defined(__x86_64__) || defined(_M_X64)
+#include <emmintrin.h>
+#endif
+
 namespace ringent {
 
 class Time {
@@ -73,13 +77,19 @@ class Time {
  private:
   constexpr explicit Time(std::int64_t fs) : fs_(fs) {}
   static std::int64_t to_i64(double fs) {
-    // llround semantics (round half away from zero), via the single-cycle
+    // llround semantics (round half away from zero), via one
     // round-to-nearest-even conversion plus an exact-tie fixup. Ties are the
     // only inputs where the two rounding rules differ, and a tie at +-0.5
     // can only occur below 2^52 where the subtraction is exact — asserted
     // equivalent to std::llround over ties and a dense value sweep by
-    // tests/test_hot_path.cpp.
+    // tests/test_hot_path.cpp. On x86-64 the conversion is one cvtsd2si,
+    // which rounds in the current (default: nearest-even) mode exactly as
+    // rint does — rint itself is a libm call there without SSE4.1.
+#if defined(__x86_64__) || defined(_M_X64)
+    std::int64_t i = _mm_cvtsd_si64(_mm_set_sd(fs));
+#else
     auto i = static_cast<std::int64_t>(std::rint(fs));
+#endif
     const double diff = fs - static_cast<double>(i);
     if (diff == 0.5 && fs > 0.0) {
       ++i;

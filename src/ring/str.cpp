@@ -15,13 +15,12 @@ Str::Str(sim::Kernel& kernel, const StrConfig& config, RingState initial,
     : kernel_(kernel),
       config_(config),
       charlie_model_(config.charlie, config.drafting),
-      state_(std::move(initial)),
-      tokens_(token_count(state_)),
+      tokens_(token_count(initial)),
       stage_noise_(std::move(stage_noise)),
       scale_cache_(config.supply, config.laws),
       observe_trace_("str_out") {
   RINGENT_REQUIRE(config_.stages >= 3, "STR needs at least three stages");
-  RINGENT_REQUIRE(state_.size() == config_.stages,
+  RINGENT_REQUIRE(initial.size() == config_.stages,
                   "initial state size must match stage count");
   RINGENT_REQUIRE(can_oscillate(config_.stages, tokens_),
                   "initial pattern cannot oscillate");
@@ -47,6 +46,15 @@ Str::Str(sim::Kernel& kernel, const StrConfig& config, RingState initial,
     RINGENT_REQUIRE(f > 0.0, "stage factors must be positive");
   }
 
+  out_.assign(initial.begin(), initial.end());
+  prev_.reserve(config_.stages);
+  next_.reserve(config_.stages);
+  for (std::size_t i = 0; i < config_.stages; ++i) {
+    prev_.push_back(static_cast<std::uint32_t>(
+        i == 0 ? config_.stages - 1 : i - 1));
+    next_.push_back(static_cast<std::uint32_t>(
+        i + 1 == config_.stages ? 0 : i + 1));
+  }
   last_change_.assign(config_.stages, Time::zero());
   scheduled_.assign(config_.stages, 0);
 
@@ -90,9 +98,11 @@ Str::Str(sim::Kernel& kernel, const StrConfig& config, RingState initial,
   node_ = kernel_.add_process(this);
 }
 
+RingState Str::state() const { return RingState(out_.begin(), out_.end()); }
+
 bool Str::enabled(std::size_t i) const {
   // Token at i and bubble at i+1.
-  return state_[i] != state_[prev(i)] && state_[next(i)] == state_[i];
+  return out_[i] != out_[prev_[i]] && out_[next_[i]] == out_[i];
 }
 
 void Str::try_schedule(std::size_t i, Time now) {
@@ -101,8 +111,8 @@ void Str::try_schedule(std::size_t i, Time now) {
   kernel_.count(sim::metrics::Counter::token_collision_checks);
   if (scheduled_[i] || !enabled(i)) return;
 
-  const Time tf = last_change_[prev(i)];  // token-side enabling event
-  const Time tr = last_change_[next(i)];  // bubble-side enabling event
+  const Time tf = last_change_[prev_[i]];  // token-side enabling event
+  const Time tr = last_change_[next_[i]];  // bubble-side enabling event
 
   Time fire_at;
   if (config_.supply == nullptr) {
@@ -172,21 +182,22 @@ void Str::fire(sim::Kernel& kernel, std::uint32_t tag) {
   // The enabling conditions cannot be withdrawn between scheduling and
   // firing (neighbours of an enabled stage are themselves disabled), so the
   // event is always valid here.
-  scheduled_[i] = false;
-  state_[i] = state_[prev(i)];
+  scheduled_[i] = 0;
+  const std::uint8_t value = out_[prev_[i]];
+  out_[i] = value;
   last_change_[i] = now;
   ++firings_;
 
   if (config_.trace_all_stages) {
-    traces_[i].record(now, state_[i]);
+    traces_[i].record(now, value != 0);
   } else if (i == config_.observe_stage) {
-    output_->record(now, state_[i]);
+    output_->record(now, value != 0);
   }
 
   // The firing moved a token to i+1 and a bubble to i; only those two
   // neighbours can have become enabled.
-  try_schedule(next(i), now);
-  try_schedule(prev(i), now);
+  try_schedule(next_[i], now);
+  try_schedule(prev_[i], now);
 }
 
 Time Str::nominal_period() const {

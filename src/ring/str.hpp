@@ -90,8 +90,8 @@ class Str final : public sim::Process {
   const std::vector<sim::SignalTrace>& stage_traces() const { return traces_; }
   std::vector<sim::SignalTrace>& stage_traces() { return traces_; }
 
-  /// Current logical state (token/bubble snapshot).
-  const RingState& state() const { return state_; }
+  /// Current logical state (token/bubble snapshot), built on each call.
+  RingState state() const;
 
   std::size_t stages() const { return config_.stages; }
   std::size_t tokens() const { return tokens_; }
@@ -108,21 +108,17 @@ class Str final : public sim::Process {
   std::uint64_t firings() const { return firings_; }
 
  private:
-  std::size_t prev(std::size_t i) const {
-    return i == 0 ? config_.stages - 1 : i - 1;
-  }
-  std::size_t next(std::size_t i) const {
-    return i + 1 == config_.stages ? 0 : i + 1;
-  }
   bool enabled(std::size_t i) const;
   void try_schedule(std::size_t i, Time now);
 
   sim::Kernel& kernel_;
   StrConfig config_;
   CharlieModel charlie_model_;
-  RingState state_;
   std::size_t tokens_;
   std::vector<std::unique_ptr<noise::NoiseSource>> stage_noise_;
+  std::vector<std::uint8_t> out_;        ///< stage outputs C_i, 0 or 1
+  std::vector<std::uint32_t> prev_;      ///< i - 1 (cyclic)
+  std::vector<std::uint32_t> next_;      ///< i + 1 (cyclic)
   std::vector<Time> last_change_;
   std::vector<std::uint8_t> scheduled_;
 

@@ -7,7 +7,7 @@ std::uint64_t Kernel::run_until(Time t_end) {
     processes_[event.node]->fire(*this, event.tag);
   };
   if (kind_ == QueueKind::binary_heap) {
-    return drain_until(heap_, t_end, fire);
+    return drain_until(run_, t_end, fire);
   }
   return drain_until(calendar_, t_end, fire);
 }
@@ -17,15 +17,15 @@ std::uint64_t Kernel::run_events(std::uint64_t max_events) {
     processes_[event.node]->fire(*this, event.tag);
   };
   if (kind_ == QueueKind::binary_heap) {
-    return drain_events(heap_, max_events, fire);
+    return drain_events(run_, max_events, fire);
   }
   return drain_events(calendar_, max_events, fire);
 }
 
 void Kernel::reset_time() {
   if (kind_ == QueueKind::binary_heap) {
-    count(metrics::Counter::events_cancelled, heap_.size());
-    heap_.clear();
+    count(metrics::Counter::events_cancelled, run_.size());
+    run_.clear();
   } else {
     count(metrics::Counter::events_cancelled, calendar_.size());
     calendar_.clear();

@@ -11,13 +11,15 @@
 // performs no allocation.
 //
 // Hot-path structure: the kernel owns its two pending-event sets directly —
-// a FlatHeap4 (the default) and a CalendarQueue — and selects between them
-// with a branch on QueueKind instead of a virtual call per push/pop. The
-// generic run loops dispatch Process::fire virtually; a single-process
-// simulation (every Oscillator — one ring per kernel) can instead use
-// run_until_on<P>(), which devirtualizes the fire call so a `final` ring
-// model inlines its event handler straight into the drain loop. Both paths
-// pop the identical (time, seq) sequence and produce the identical counts.
+// a SortedRun (the default; a sorted circular buffer whose inserts land near
+// the tail for ring traffic, see sim/event_queue.hpp) and a CalendarQueue —
+// and selects between them with a branch on QueueKind instead of a virtual
+// call per push/pop. The generic run loops dispatch Process::fire
+// virtually; a single-process simulation (every Oscillator — one ring per
+// kernel) can instead use run_until_on<P>(), which devirtualizes the fire
+// call so a `final` ring model inlines its event handler straight into the
+// drain loop. Both paths pop the identical (time, seq) sequence and produce
+// the identical counts.
 //
 // Counting (sim/metrics.hpp) stays off the per-event path: inside a drain
 // processes count into a plain per-kernel array (Kernel::count), the
@@ -63,7 +65,7 @@ class Process {
 
 class Kernel {
  public:
-  /// The pending-event set is selectable: the default flat 4-ary heap, or a
+  /// The pending-event set is selectable: the default sorted run, or a
   /// calendar queue for large stationary workloads. Both give bit-identical
   /// simulations — asserted by tests.
   explicit Kernel(QueueKind queue_kind = QueueKind::binary_heap)
@@ -102,8 +104,8 @@ class Kernel {
     }
     const QueuedEvent event{at, next_seq_++, node, tag};
     if (kind_ == QueueKind::binary_heap) {
-      heap_.push(event);
-      telemetry::record(telemetry::Histogram::queue_depth, heap_.size());
+      run_.push(event);
+      telemetry::record(telemetry::Histogram::queue_depth, run_.size());
     } else {
       calendar_.push(event);
       telemetry::record(telemetry::Histogram::queue_depth, calendar_.size());
@@ -129,7 +131,7 @@ class Kernel {
 
   /// True if no events are pending.
   bool idle() const {
-    return kind_ == QueueKind::binary_heap ? heap_.empty() : calendar_.empty();
+    return kind_ == QueueKind::binary_heap ? run_.empty() : calendar_.empty();
   }
 
   /// Fire events until the queue is empty or the next event is later than
@@ -154,7 +156,7 @@ class Kernel {
       process.fire(*this, event.tag);
     };
     if (kind_ == QueueKind::binary_heap) {
-      return drain_until(heap_, t_end, fire);
+      return drain_until(run_, t_end, fire);
     }
     return drain_until(calendar_, t_end, fire);
   }
@@ -167,7 +169,7 @@ class Kernel {
   /// (e.g. ~1 event per ring stage) so the hot loop never reallocates.
   void reserve_events(std::size_t expected_events) {
     if (kind_ == QueueKind::binary_heap) {
-      heap_.reserve(expected_events);
+      run_.reserve(expected_events);
     } else {
       calendar_.reserve(expected_events);
     }
@@ -258,7 +260,7 @@ class Kernel {
 
   std::vector<Process*> processes_;
   QueueKind kind_;
-  FlatHeap4 heap_;
+  SortedRun run_;
   CalendarQueue calendar_;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;

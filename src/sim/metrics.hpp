@@ -62,8 +62,10 @@ enum class Counter : std::size_t {
   events_scheduled,        ///< Kernel::schedule_at calls
   events_fired,            ///< events delivered to a Process
   events_cancelled,        ///< pending events dropped by Kernel::reset_time
-  heap_pushes,             ///< events scheduled into a kernel's FlatHeap4
-  heap_pops,               ///< events a kernel popped from its FlatHeap4
+  // The heap_* names predate the kernel's sorted run; they stay because
+  // campaign-store records key their counters by name (store schema /1).
+  heap_pushes,             ///< events scheduled into a kernel's SortedRun
+  heap_pops,               ///< events a kernel popped from its SortedRun
   calendar_pushes,         ///< events scheduled into a kernel's CalendarQueue
   calendar_pops,           ///< events a kernel popped from its CalendarQueue
   charlie_evaluations,     ///< CharlieModel::fire_time calls from the STR

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "analysis/periods.hpp"
@@ -17,7 +18,7 @@ using namespace ringent;
 using namespace ringent::literals;
 using sim::BinaryHeapQueue;
 using sim::CalendarQueue;
-using sim::FlatHeap4;
+using sim::SortedRun;
 using sim::QueuedEvent;
 
 namespace {
@@ -65,16 +66,16 @@ TEST(CalendarQueue, OrderAndTieBreak) {
   EXPECT_THROW(queue.pop_min(), PreconditionError);
 }
 
-TEST(FlatHeap4Queue, OrderAndTieBreak) {
-  FlatHeap4 queue;
+TEST(SortedRunQueue, OrderAndTieBreak) {
+  SortedRun queue;
   basic_order_check(queue);
   tie_break_check(queue);
   EXPECT_THROW(queue.pop_min(), PreconditionError);
 }
 
-TEST(FlatHeap4Queue, PreservesNodeAndTagPayload) {
-  // The SoA layout packs (node, tag) into one word; round-trip both limits.
-  FlatHeap4 queue;
+TEST(SortedRunQueue, PreservesNodeAndTagPayload) {
+  // Round-trip both payload limits.
+  SortedRun queue;
   queue.push(QueuedEvent{Time::from_fs(10), 0, 0xFFFFFFFFu, 0u});
   queue.push(QueuedEvent{Time::from_fs(5), 1, 7u, 0xFFFFFFFFu});
   const QueuedEvent first = queue.pop_min();
@@ -83,6 +84,92 @@ TEST(FlatHeap4Queue, PreservesNodeAndTagPayload) {
   const QueuedEvent second = queue.pop_min();
   EXPECT_EQ(second.node, 0xFFFFFFFFu);
   EXPECT_EQ(second.tag, 0u);
+}
+
+TEST(SortedRunQueue, WrapsAroundAndGrowsWhileWrapped) {
+  // Advance the head past the middle of the first 8-slot buffer, push until
+  // the run wraps past the buffer's end, then push more so the buffer grows
+  // while wrapped. Every pop must still come out in (time, seq) order.
+  SortedRun queue;
+  std::uint64_t seq = 0;
+  std::int64_t t = 0;
+  for (int i = 0; i < 6; ++i) queue.push(ev(t += 10, seq++));
+  ASSERT_EQ(queue.capacity(), 8u);
+  for (int i = 0; i < 5; ++i) queue.pop_min();
+  // The head sits at slot 5: these land in slots 6, 7, 0, 1, 2, 3.
+  for (int i = 0; i < 6; ++i) queue.push(ev(t += 10, seq++));
+  ASSERT_EQ(queue.size(), 7u);
+  // Earlier than everything pending: the scan crosses the seam to the head.
+  queue.push(ev(15, seq++));
+  ASSERT_EQ(queue.capacity(), 8u);
+  // The buffer is full and wrapped: this push grows it, then lands mid-run.
+  queue.push(ev(105, seq++));
+  EXPECT_EQ(queue.capacity(), 16u);
+  for (int i = 0; i < 12; ++i) queue.push(ev(t += 10, seq++));
+  EXPECT_EQ(queue.capacity(), 32u);
+
+  std::int64_t last = -1;
+  std::size_t popped = 0;
+  while (!queue.empty()) {
+    const QueuedEvent out = queue.pop_min();
+    ASSERT_GT(out.at.fs(), last);
+    last = out.at.fs();
+    ++popped;
+  }
+  EXPECT_EQ(popped, 1u + 6u + 2u + 12u);
+  EXPECT_THROW(queue.peek_min(), PreconditionError);
+}
+
+TEST(SortedRunQueue, RingTrafficMatchesMultisetReference) {
+  // Ring-shaped traffic: pop the earliest event, then schedule 0-2 events a
+  // little after it — mostly near the tail, with equal-time ties and the
+  // odd insert near the head — against a std::multiset ordered by
+  // (time, seq), one pop at a time. A small reserve forces growth mid-run.
+  const auto before = [](const QueuedEvent& a, const QueuedEvent& b) {
+    return sim::earlier(a, b);
+  };
+  for (const std::uint64_t seed : {5u, 55u, 555u}) {
+    SortedRun queue;
+    queue.reserve(4);
+    std::multiset<QueuedEvent, decltype(before)> reference(before);
+    Xoshiro256 rng(seed);
+    std::uint64_t seq = 0;
+    const auto push = [&](std::int64_t fs) {
+      const QueuedEvent event{Time::from_fs(fs), seq++,
+                              static_cast<std::uint32_t>(rng.below(96)),
+                              static_cast<std::uint32_t>(seq)};
+      queue.push(event);
+      reference.insert(event);
+    };
+    for (int i = 0; i < 48; ++i) {
+      push(static_cast<std::int64_t>(rng.below(40) * 250));
+    }
+    for (int round = 0; round < 50000 && !reference.empty(); ++round) {
+      ASSERT_EQ(queue.size(), reference.size());
+      const QueuedEvent want = *reference.begin();
+      reference.erase(reference.begin());
+      ASSERT_EQ(queue.min_at().fs(), want.at.fs());
+      const QueuedEvent got = queue.pop_min();
+      ASSERT_EQ(got.at.fs(), want.at.fs()) << "seed " << seed << " " << round;
+      ASSERT_EQ(got.seq, want.seq) << "seed " << seed << " " << round;
+      ASSERT_EQ(got.node, want.node);
+      ASSERT_EQ(got.tag, want.tag);
+      // Keep the population near 48 (a 96-stage STR's steady state).
+      const std::uint64_t pushes =
+          reference.size() < 40 ? 2 : (reference.size() > 56 ? 0 : 1);
+      for (std::uint64_t p = 0; p < pushes; ++p) {
+        const std::uint64_t shape = rng.below(10);
+        std::int64_t ahead = 0;  // shape 0: tie with the popped time
+        if (shape < 8) {
+          ahead = 9000 + static_cast<std::int64_t>(rng.below(12) * 250);
+        } else if (shape == 8) {
+          ahead = static_cast<std::int64_t>(rng.below(4) * 250);
+        }
+        push(got.at.fs() + ahead);
+      }
+    }
+    EXPECT_GT(queue.capacity(), 4u);
+  }
 }
 
 TEST(CalendarQueue, SurvivesResizeCycles) {
@@ -241,13 +328,13 @@ TEST(EventQueues, RandomizedWorkloadEquivalence) {
 }
 
 TEST(EventQueues, ThreeQueueHoldModelEquivalence) {
-  // All three implementations — flat 4-ary heap (the kernel's default
+  // All three implementations — sorted run (the kernel's default
   // in-process queue), virtual binary heap and calendar queue — must pop
   // the identical (time, seq) sequence under hold-model workloads: pop one
   // event, push a few events at times >= the popped time (how a simulated
   // ring actually drives the queue). Compared pairwise on every pop.
   for (const std::uint64_t seed : {11u, 222u, 3333u}) {
-    FlatHeap4 flat;
+    SortedRun flat;
     BinaryHeapQueue heap;
     CalendarQueue calendar;
     Xoshiro256 rng(seed);

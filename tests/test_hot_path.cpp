@@ -354,4 +354,30 @@ TEST(HotPath, TimeFromPsMatchesLlround) {
     const std::int64_t want = std::llround(fs);
     if (got != want) FAIL() << "fs=" << fs << " got " << got << " want " << want;
   }
+  // Random ties of both signs up to the largest tie below 2^52, where
+  // nearest-even and half-away disagree on every even integer part.
+  for (int i = 0; i < 200'000; ++i) {
+    const auto whole = static_cast<double>(rng.below(std::uint64_t{1} << 52));
+    for (const double tie : {whole + 0.5, -(whole + 0.5)}) {  // both exact
+      const std::int64_t got = Time::from_fs(1).scaled(tie).fs();
+      if (got != std::llround(tie)) FAIL() << "tie=" << tie << " got " << got;
+    }
+  }
+  // Integral magnitudes 2^52 .. 2^62 (every double there is a whole number,
+  // so any rounding mode must return it unchanged), both signs.
+  for (int exponent = 52; exponent <= 62; ++exponent) {
+    const double base = std::ldexp(1.0, exponent);
+    for (int i = 0; i < 20'000; ++i) {
+      const double mag = i < 4 ? base + (i - 2) * std::ldexp(1.0, exponent - 52)
+                               : base * (1.0 + rng.uniform(0.0, 1.0));
+      if (mag >= std::ldexp(1.0, 63)) continue;
+      for (const double fs : {mag, -mag}) {
+        const std::int64_t got = Time::from_fs(1).scaled(fs).fs();
+        if (got != std::llround(fs)) {
+          FAIL() << "fs=" << fs << " got " << got << " want "
+                 << std::llround(fs);
+        }
+      }
+    }
+  }
 }

@@ -12,6 +12,7 @@
 //    pinned against hardcoded stream fingerprints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -285,6 +286,50 @@ TEST(Conditioner, LfsrGoldenVectors) {
   Bytes out1;
   ident.process(Bytes(s.begin(), s.end()), out1);
   EXPECT_EQ(out1, (Bytes{0x87, 0x32, 0xF5, 0x8B, 0xB8, 0xDF, 0xB0}));
+}
+
+/// Bit-serial reference for LfsrConditioner: the reflected CRC-64/XZ
+/// register shifted one bit per Galois step, emitting the low register byte
+/// after every `ratio` raw bytes.
+Bytes lfsr_reference(std::span<const std::uint8_t> raw, std::size_t ratio) {
+  constexpr std::uint64_t poly = 0xC96C5795D7870F42ull;
+  std::uint64_t state = ~std::uint64_t{0};
+  std::size_t absorbed = 0;
+  Bytes out;
+  for (const std::uint8_t byte : raw) {
+    state ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state >> 1) ^ (poly & (~(state & 1u) + 1));
+    }
+    if (++absorbed == ratio) {
+      absorbed = 0;
+      out.push_back(static_cast<std::uint8_t>(state & 0xFFu));
+    }
+  }
+  return out;
+}
+
+TEST(Conditioner, LfsrTableMatchesBitSerialReference) {
+  // The table-driven byte step must stay bit-exact with the bit-serial
+  // register over random inputs, ratios and process() chunkings.
+  Xoshiro256 rng(0x1F5);
+  for (int trial = 0; trial < 64; ++trial) {
+    Bytes raw(rng.below(3000));
+    for (auto& byte : raw) byte = static_cast<std::uint8_t>(rng.next());
+    const std::size_t ratio = 1 + rng.below(5);
+    service::LfsrConditioner cond(ratio);
+    Bytes out;
+    std::size_t off = 0;
+    while (off < raw.size()) {
+      const std::size_t chunk =
+          std::min<std::size_t>(raw.size() - off, rng.below(200));
+      cond.process(std::span<const std::uint8_t>(raw).subspan(off, chunk),
+                   out);
+      off += chunk;
+    }
+    ASSERT_EQ(out, lfsr_reference(raw, ratio))
+        << "trial " << trial << " ratio " << ratio;
+  }
 }
 
 TEST(Conditioner, HashGoldenVectorMatchesChainedSha256) {

@@ -113,6 +113,37 @@ TEST(Str, TimedModelOnlyVisitsStatesReachableByTheSpec) {
   }
 }
 
+TEST(Str, StateMatchesAFireStageReplay) {
+  // state() is rebuilt from the stage outputs on each call; it must equal
+  // the untimed spec replaying the stages fired so far, in firing order.
+  // Every stage is traced, so the stage that fired is the one whose trace
+  // grew.
+  sim::Kernel kernel;
+  StrConfig config = basic_config(12);
+  config.trace_all_stages = true;
+  RingState expected = make_initial_state(12, 6, TokenPlacement::clustered);
+  Str str(kernel, config, expected, gaussian_noise(12, 10.0, 5));
+  str.start();
+  ASSERT_EQ(str.state(), expected);
+  std::vector<std::size_t> seen(12, 0);
+  for (int step = 0; step < 3000; ++step) {
+    ASSERT_EQ(kernel.run_events(1), 1u);
+    std::size_t fired = 12;
+    for (std::size_t i = 0; i < 12; ++i) {
+      if (str.stage_traces()[i].total_seen() != seen[i]) {
+        ASSERT_EQ(fired, 12u) << "two stages fired in one event";
+        fired = i;
+        seen[i] = str.stage_traces()[i].total_seen();
+      }
+    }
+    ASSERT_LT(fired, 12u);
+    ASSERT_TRUE(ring::stage_enabled(expected, fired)) << "step " << step;
+    expected = ring::fire_stage(expected, fired);
+    ASSERT_EQ(str.state(), expected) << "step " << step;
+  }
+  EXPECT_EQ(str.firings(), 3000u);
+}
+
 TEST(Str, EvenlySpacedLockingFromClusteredStart) {
   // With the calibrated (strong) Charlie effect, a clustered pattern must
   // spread out: late-run intervals become uniform (paper Fig. 5, bottom).
