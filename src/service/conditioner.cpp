@@ -1,6 +1,8 @@
 #include "service/conditioner.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "common/require.hpp"
 
@@ -76,31 +78,62 @@ void LfsrConditioner::reset() {
 }
 
 HashConditioner::HashConditioner(std::size_t ratio)
-    : ratio_(ratio), block_bytes_(ratio * Sha256::digest_size) {
+    : ratio_(ratio), group_bytes_(ratio * Sha256::digest_size) {
   RINGENT_REQUIRE(ratio >= 1, "hash conditioner ratio must be >= 1");
-  pending_.reserve(block_bytes_);
+  pending_.reserve(group_bytes_);
 }
 
 void HashConditioner::process(std::span<const std::uint8_t> raw,
                               std::vector<std::uint8_t>& out) {
-  std::size_t offset = 0;
-  while (offset < raw.size()) {
+  const std::size_t groups = (pending_.size() + raw.size()) / group_bytes_;
+  std::size_t at = out.size();
+  out.resize(at + groups * Sha256::digest_size);
+  const auto absorb = [&](std::span<const std::uint8_t> group) {
+    chain_group(group);
+    std::memcpy(out.data() + at, chain_.data(), chain_.size());
+    at += chain_.size();
+  };
+  if (!pending_.empty()) {
     const std::size_t take =
-        std::min(raw.size() - offset, block_bytes_ - pending_.size());
-    pending_.insert(pending_.end(), raw.begin() + offset,
-                    raw.begin() + offset + take);
-    offset += take;
-    if (pending_.size() == block_bytes_) emit_block(out);
+        std::min(raw.size(), group_bytes_ - pending_.size());
+    pending_.insert(pending_.end(), raw.begin(), raw.begin() + take);
+    raw = raw.subspan(take);
+    if (pending_.size() < group_bytes_) return;
+    absorb(pending_);
+    pending_.clear();
   }
+  for (; raw.size() >= group_bytes_; raw = raw.subspan(group_bytes_)) {
+    absorb(raw.first(group_bytes_));
+  }
+  pending_.assign(raw.begin(), raw.end());
 }
 
-void HashConditioner::emit_block(std::vector<std::uint8_t>& out) {
-  Sha256 hash;
-  hash.update(std::span<const std::uint8_t>(chain_.data(), chain_.size()));
-  hash.update(std::span<const std::uint8_t>(pending_.data(), pending_.size()));
-  chain_ = hash.finish();
-  out.insert(out.end(), chain_.begin(), chain_.end());
-  pending_.clear();
+void HashConditioner::chain_group(std::span<const std::uint8_t> group) {
+  // The message chain ‖ group is 32 (ratio + 1) bytes: one block of the
+  // chain and the first 32 raw bytes, whole blocks of raw bytes, and a tail
+  // of 0 or 32 raw bytes that always leaves room for the padding (0x80,
+  // zeros, 64-bit big-endian bit length) in the same last block.
+  constexpr std::size_t half = Sha256::digest_size;
+  Sha256::State state = Sha256::initial_state;
+  std::array<std::uint8_t, Sha256::block_size> block{};
+  std::memcpy(block.data(), chain_.data(), half);
+  std::memcpy(block.data() + half, group.data(), half);
+  Sha256::compress(state, block);
+  const std::span<const std::uint8_t> rest = group.subspan(half);
+  const std::size_t middle =
+      rest.size() - rest.size() % Sha256::block_size;
+  if (middle > 0) Sha256::compress(state, rest.first(middle));
+  const std::size_t tail = rest.size() - middle;
+  block.fill(0);
+  std::memcpy(block.data(), rest.data() + middle, tail);
+  block[tail] = 0x80;
+  const std::uint64_t bit_length = (half + group.size()) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    block[Sha256::block_size - 1 - i] =
+        static_cast<std::uint8_t>(bit_length >> (8 * i));
+  }
+  Sha256::compress(state, block);
+  chain_ = Sha256::state_digest(state);
 }
 
 void HashConditioner::reset() {

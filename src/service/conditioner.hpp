@@ -9,8 +9,10 @@
 //    neoTRNG conditioning stage: every raw byte is folded into a 64-bit LFSR
 //    state and one output byte is tapped per `ratio` raw bytes.
 //  * HashConditioner — chained SHA-256 in the style of jitterentropy: each
-//    block of `ratio * 32` raw bytes is absorbed together with the previous
-//    digest, and the 32-byte digest is emitted.
+//    group of `ratio * 32` raw bytes is hashed together with the previous
+//    digest, and the 32-byte digest is emitted. Each digest is computed in
+//    one pass over the caller's bytes (two block compressions at ratio 2)
+//    rather than through the streaming Sha256 buffer.
 //
 // Both are deterministic functions of the raw byte stream and are pinned
 // bit-exact by golden vectors in tests/test_service.cpp. Both are streaming:
@@ -76,8 +78,15 @@ class LfsrConditioner final : public Conditioner {
   std::size_t absorbed_ = 0;  ///< raw bytes since last emitted byte
 };
 
-/// Chained SHA-256 conditioner. Collects `ratio * 32` raw bytes, hashes them
-/// together with the previous digest (chain), emits the 32-byte digest.
+/// Chained SHA-256 conditioner. Each group of `ratio * 32` raw bytes gives
+/// chain <- SHA-256(chain ‖ group), and the 32-byte chain is emitted.
+///
+/// process() hashes each whole group straight from the caller's bytes: the
+/// state starts from the IV, the chain and the first 32 raw bytes share one
+/// stack block, whole middle blocks are compressed in place, and the 0- or
+/// 32-byte tail shares one stack block with the padding. `pending_` holds
+/// only a group left incomplete at the end of a call. The streaming Sha256
+/// over chain ‖ group is the reference the tests compare against.
 class HashConditioner final : public Conditioner {
  public:
   explicit HashConditioner(std::size_t ratio = 2);
@@ -89,10 +98,11 @@ class HashConditioner final : public Conditioner {
   void reset() override;
 
  private:
-  void emit_block(std::vector<std::uint8_t>& out);
+  /// chain_ <- SHA-256(chain_ ‖ group), group.size() == group_bytes_.
+  void chain_group(std::span<const std::uint8_t> group);
 
   std::size_t ratio_;
-  std::size_t block_bytes_;
+  std::size_t group_bytes_;
   std::array<std::uint8_t, Sha256::digest_size> chain_{};
   std::vector<std::uint8_t> pending_;
 };

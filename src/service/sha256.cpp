@@ -16,11 +16,6 @@ namespace ringent::service {
 
 namespace {
 
-constexpr std::uint32_t kInit[8] = {
-    0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-    0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u,
-};
-
 constexpr std::uint32_t kRound[64] = {
     0x428a2f98u, 0x71374491u, 0xb5c0fbcfu, 0xe9b5dba5u, 0x3956c25bu,
     0x59f111f1u, 0x923f82a4u, 0xab1c5ed5u, 0xd807aa98u, 0x12835b01u,
@@ -43,10 +38,11 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
 }
 
 inline void store_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
+  // One byte swap and one store (the byte-wise form vectorises badly).
+  if constexpr (std::endian::native == std::endian::little) {
+    v = (v >> 24) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) | (v << 24);
+  }
+  std::memcpy(p, &v, sizeof v);
 }
 
 void compress_blocks_scalar(Sha256::State& state, const std::uint8_t* data,
@@ -199,8 +195,15 @@ void Sha256::compress_hardware(State& state,
 #endif
 }
 
+std::array<std::uint8_t, Sha256::digest_size> Sha256::state_digest(
+    const State& state) {
+  std::array<std::uint8_t, digest_size> out{};
+  for (std::size_t i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state[i]);
+  return out;
+}
+
 void Sha256::reset() {
-  for (std::size_t i = 0; i < 8; ++i) state_[i] = kInit[i];
+  state_ = initial_state;
   total_bytes_ = 0;
   pending_size_ = 0;
 }
@@ -238,9 +241,7 @@ std::array<std::uint8_t, Sha256::digest_size> Sha256::finish() {
     padding[pad_size - 1 - i] = static_cast<std::uint8_t>(bit_length >> (8 * i));
   }
   update(std::span<const std::uint8_t>(padding.data(), pad_size));
-  std::array<std::uint8_t, digest_size> out{};
-  for (std::size_t i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
-  return out;
+  return state_digest(state_);
 }
 
 }  // namespace ringent::service

@@ -25,6 +25,12 @@ class Sha256 {
   static constexpr std::size_t block_size = 64;
   using State = std::array<std::uint32_t, 8>;
 
+  /// The FIPS 180-4 initial hash value H(0).
+  static constexpr State initial_state = {
+      0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+      0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u,
+  };
+
   Sha256() { reset(); }
 
   /// Restart as a fresh hash.
@@ -58,6 +64,9 @@ class Sha256 {
                                 std::span<const std::uint8_t> blocks);
   /// True when this CPU has SHA-NI (and the build targets x86-64).
   static bool hardware_available();
+  /// The digest of a final `state`: its eight words, big-endian.
+  static std::array<std::uint8_t, digest_size> state_digest(
+      const State& state);
 
  private:
   State state_{};

@@ -1,7 +1,5 @@
 #include "trng/health.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/math.hpp"
@@ -33,45 +31,6 @@ bool RepetitionCountTest::feed(std::uint8_t bit) {
   }
   if (run_ >= cutoff_) alarmed_ = true;
   return !alarmed_;
-}
-
-namespace {
-
-/// True when `bits` holds `length` (1..64) consecutive set bits.
-bool has_run_of_ones(std::uint64_t bits, std::uint32_t length) {
-  // After each step bit i is set iff bits i..i+covered-1 all are; the zeros
-  // shifted in at the top keep runs from wrapping past bit 63.
-  for (std::uint32_t covered = 1; covered < length && bits != 0;) {
-    const std::uint32_t shift = std::min(covered, length - covered);
-    bits &= bits >> shift;
-    covered += shift;
-  }
-  return bits != 0;
-}
-
-}  // namespace
-
-bool RepetitionCountTest::word_clear(std::uint64_t word,
-                                     std::uint32_t limit) const {
-  if (alarmed_ || limit <= 1) return false;
-  if (last_ <= 1) {
-    // The leading bits that repeat the last sample extend the current run.
-    const auto lead = static_cast<std::uint32_t>(
-        std::countr_one(last_ == 1 ? word : ~word));
-    if (lead > 0 && std::uint64_t{run_} + lead >= limit) return false;
-    if (lead == 64) return true;
-  }
-  // Every other run starts inside the word and is at most 64 long.
-  if (limit > 64) return true;
-  return !has_run_of_ones(word, limit) && !has_run_of_ones(~word, limit);
-}
-
-void RepetitionCountTest::feed_word(std::uint64_t word) {
-  const auto top = static_cast<std::uint8_t>(word >> 63);
-  const auto tail =
-      static_cast<std::uint32_t>(std::countl_one(top == 1 ? word : ~word));
-  run_ = tail == 64 && last_ == top ? run_ + 64 : tail;
-  last_ = top;
 }
 
 void RepetitionCountTest::reset() {
@@ -132,36 +91,6 @@ bool AdaptiveProportionTest::feed(std::uint8_t bit) {
   }
   if (++index_ >= window_) index_ = 0;  // start a fresh window
   return true;
-}
-
-namespace {
-
-/// Samples of `word` equal to `ref`.
-std::uint32_t matches(std::uint64_t word, std::uint8_t ref) {
-  return static_cast<std::uint32_t>(std::popcount(ref == 1 ? word : ~word));
-}
-
-}  // namespace
-
-bool AdaptiveProportionTest::word_clear(std::uint64_t word,
-                                        std::uint32_t limit) const {
-  if (alarmed_ || index_ + 64 > window_) return false;
-  // A word that opens the window takes its first bit as the reference.
-  const std::uint32_t count =
-      index_ == 0 ? matches(word, static_cast<std::uint8_t>(word & 1u))
-                  : count_ + matches(word, ref_);
-  return count < limit;
-}
-
-void AdaptiveProportionTest::feed_word(std::uint64_t word) {
-  if (index_ == 0) {
-    ref_ = static_cast<std::uint8_t>(word & 1u);
-    count_ = matches(word, ref_);
-  } else {
-    count_ += matches(word, ref_);
-  }
-  index_ += 64;
-  if (index_ >= window_) index_ = 0;  // the word closed its window
 }
 
 void AdaptiveProportionTest::reset() {

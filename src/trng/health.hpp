@@ -13,8 +13,17 @@
 // tone (long repeats / skewed proportions) or dying entirely (constant
 // output). examples/attack_demo and the TRNG examples use them as the
 // "would a fielded generator notice?" check.
+//
+// Each test also takes 64 samples at a time (word_clear() then feed_word(),
+// the healthy fast path of trng/resilient.hpp). Those word methods are
+// defined inline below so the caller's word loop makes no calls per word.
+// The APT's word count is a SWAR popcount: a caller compiled with POPCNT
+// gets one instruction, a baseline caller inline code (ResilientGenerator
+// keeps both and chooses once per process).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -129,5 +138,84 @@ struct HealthReport {
 /// claimed min-entropy (the value an entropy-source datasheet would state).
 HealthReport run_health_tests(std::span<const std::uint8_t> bits,
                               double claimed_min_entropy_per_bit);
+
+namespace detail {
+
+/// True when `bits` holds `length` (1..64) consecutive set bits.
+inline bool has_run_of_ones(std::uint64_t bits, std::uint32_t length) {
+  // After each step bit i is set iff bits i..i+covered-1 all are; the zeros
+  // shifted in at the top keep runs from wrapping past bit 63.
+  for (std::uint32_t covered = 1; covered < length && bits != 0;) {
+    const std::uint32_t shift = std::min(covered, length - covered);
+    bits &= bits >> shift;
+    covered += shift;
+  }
+  return bits != 0;
+}
+
+/// Set bits of `x` as the SWAR sum: inline code and no libgcc call on a
+/// baseline x86-64 build, and one POPCNT instruction in a caller compiled
+/// for it (GCC and Clang recognise the idiom).
+constexpr std::uint32_t word_popcount(std::uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555ull);
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<std::uint32_t>((x * 0x0101010101010101ull) >> 56);
+}
+
+/// Samples of `word` equal to `ref`.
+inline std::uint32_t matches(std::uint64_t word, std::uint8_t ref) {
+  return word_popcount(ref == 1 ? word : ~word);
+}
+
+}  // namespace detail
+
+inline bool RepetitionCountTest::word_clear(std::uint64_t word,
+                                            std::uint32_t limit) const {
+  if (alarmed_ || limit <= 1) return false;
+  if (last_ <= 1) {
+    // The leading bits that repeat the last sample extend the current run.
+    const auto lead = static_cast<std::uint32_t>(
+        std::countr_one(last_ == 1 ? word : ~word));
+    if (lead > 0 && std::uint64_t{run_} + lead >= limit) return false;
+    if (lead == 64) return true;
+  }
+  // Every other run starts inside the word and is at most 64 long. Bit i
+  // of `same` (i < 63) says samples i and i + 1 are equal, so a run of
+  // `limit` equal samples is a run of limit - 1 set bits in it.
+  if (limit > 64) return true;
+  const std::uint64_t same = ~(word ^ (word >> 1)) & (~std::uint64_t{0} >> 1);
+  return !detail::has_run_of_ones(same, limit - 1);
+}
+
+inline void RepetitionCountTest::feed_word(std::uint64_t word) {
+  const auto top = static_cast<std::uint8_t>(word >> 63);
+  const auto tail =
+      static_cast<std::uint32_t>(std::countl_one(top == 1 ? word : ~word));
+  run_ = tail == 64 && last_ == top ? run_ + 64 : tail;
+  last_ = top;
+}
+
+inline bool AdaptiveProportionTest::word_clear(std::uint64_t word,
+                                               std::uint32_t limit) const {
+  if (alarmed_ || index_ + 64 > window_) return false;
+  // A word that opens the window takes its first bit as the reference.
+  const std::uint32_t count =
+      index_ == 0
+          ? detail::matches(word, static_cast<std::uint8_t>(word & 1u))
+          : count_ + detail::matches(word, ref_);
+  return count < limit;
+}
+
+inline void AdaptiveProportionTest::feed_word(std::uint64_t word) {
+  if (index_ == 0) {
+    ref_ = static_cast<std::uint8_t>(word & 1u);
+    count_ = detail::matches(word, ref_);
+  } else {
+    count_ += detail::matches(word, ref_);
+  }
+  index_ += 64;
+  if (index_ >= window_) index_ = 0;  // the word closed its window
+}
 
 }  // namespace ringent::trng

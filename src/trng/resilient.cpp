@@ -1,5 +1,7 @@
 #include "trng/resilient.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <utility>
@@ -8,6 +10,12 @@
 #include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__POPCNT__)
+#define RINGENT_POPCNT_DISPATCH 1
+#include <cpuid.h>
+#endif
 
 namespace ringent::trng {
 
@@ -99,6 +107,16 @@ DegradationPolicy DegradationPolicy::from_json(const Json& json) {
 
 namespace {
 
+#ifdef RINGENT_POPCNT_DISPATCH
+bool cpu_has_popcnt() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  return __get_cpuid(1, &a, &b, &c, &d) != 0 && (c & bit_POPCNT) != 0;
+}
+#endif
+
+/// Most words produce() pulls with one fill_words() call.
+constexpr std::uint64_t kMaxBatchWords = 8;
+
 /// The smallest count c with `c >= level` (near_threshold()'s comparison),
 /// or `cap` when no count below it qualifies.
 std::uint32_t first_count_at(double level, std::uint32_t cap) {
@@ -169,9 +187,30 @@ std::size_t ResilientGenerator::fill_bytes(std::span<std::uint8_t> out,
   return produce(out, carry_, max_raw_bits);
 }
 
+// The production loop is written once and compiled twice: produce() is
+// the baseline x86-64 build, produce_popcnt() lets the APT's inlined word
+// count use the POPCNT instruction. The version is chosen once per process
+// from CPUID, the way Sha256::compress chooses SHA-NI.
 std::size_t ResilientGenerator::produce(std::span<std::uint8_t> out,
                                         Carry& carry,
                                         std::size_t max_raw_bits) {
+#ifdef RINGENT_POPCNT_DISPATCH
+  static const bool popcnt = cpu_has_popcnt();
+  if (popcnt) return produce_popcnt(out, carry, max_raw_bits);
+#endif
+  return produce_words(out, carry, max_raw_bits);
+}
+
+#ifdef RINGENT_POPCNT_DISPATCH
+__attribute__((target("popcnt"))) std::size_t
+ResilientGenerator::produce_popcnt(std::span<std::uint8_t> out, Carry& carry,
+                                   std::size_t max_raw_bits) {
+  return produce_words(out, carry, max_raw_bits);
+}
+#endif
+
+[[gnu::always_inline]] inline std::size_t ResilientGenerator::produce_words(
+    std::span<std::uint8_t> out, Carry& carry, std::size_t max_raw_bits) {
   const std::uint64_t muted_before = stats_.bits_muted;
   std::size_t written = 0;
   std::size_t raw_used = 0;
@@ -187,26 +226,30 @@ std::size_t ResilientGenerator::produce(std::span<std::uint8_t> out,
   while (written < out.size() && raw_used < max_raw_bits &&
          state_ != DegradationState::failed) {
     const std::size_t room_bits = (out.size() - written) * 8 - carry.count;
-    if (max_raw_bits - raw_used >= 64 && room_bits >= 64 &&
-        word_path_open()) {
-      std::uint64_t word = 0;
-      active_->fill_words(std::span<std::uint64_t>(&word, 1));
-      raw_used += 64;
-      if (take_word(word)) {
-        // 64 emitted bits after the carry: eight whole bytes, and the
-        // carry's count is unchanged.
-        const std::uint64_t low = carry.byte | (word << carry.count);
-        for (std::size_t k = 0; k < 8; ++k) {
-          out[written + k] = static_cast<std::uint8_t>(low >> (8 * k));
-        }
-        written += 8;
-        carry.byte = carry.count == 0
-                         ? 0
-                         : static_cast<std::uint8_t>(word >> (64 - carry.count));
-      } else {
-        for (unsigned i = 0; i < 64; ++i) {
-          const auto bit = static_cast<std::uint8_t>((word >> i) & 1u);
-          if (step(bit)) emit(bit);
+    const std::size_t batch = word_batch(max_raw_bits - raw_used, room_bits);
+    if (batch > 0) {
+      std::array<std::uint64_t, kMaxBatchWords> words;
+      const std::span<std::uint64_t> pulled(words.data(), batch);
+      active_->fill_words(pulled);
+      raw_used += 64 * batch;
+      for (const std::uint64_t word : pulled) {
+        if (state_ == DegradationState::healthy && take_word(word)) {
+          // 64 emitted bits after the carry: eight whole bytes, and the
+          // carry's count is unchanged.
+          const std::uint64_t low = carry.byte | (word << carry.count);
+          for (std::size_t k = 0; k < 8; ++k) {
+            out[written + k] = static_cast<std::uint8_t>(low >> (8 * k));
+          }
+          written += 8;
+          carry.byte =
+              carry.count == 0
+                  ? 0
+                  : static_cast<std::uint8_t>(word >> (64 - carry.count));
+        } else {
+          for (unsigned i = 0; i < 64; ++i) {
+            const auto bit = static_cast<std::uint8_t>((word >> i) & 1u);
+            if (step(bit)) emit(bit);
+          }
         }
       }
       continue;
@@ -220,16 +263,24 @@ std::size_t ResilientGenerator::produce(std::span<std::uint8_t> out,
   return written;
 }
 
-bool ResilientGenerator::word_path_open() const {
-  // A healthy word can hold at most one alarm: it must mute (not fail) and
-  // its backoff must outlast the word, so that every one of the 64 bits is
-  // pulled from the active source whatever the word holds.
-  return state_ == DegradationState::healthy &&
-         std::uint64_t{stats_.strikes} + 1 < policy_.max_strikes &&
-         backoff_for_strike(policy_.backoff_bits, stats_.strikes + 1) >= 64;
+std::size_t ResilientGenerator::word_batch(std::size_t raw_left,
+                                           std::size_t room_bits) const {
+  // A healthy batch can hold at most one alarm: it must mute (not fail),
+  // and its backoff must outlast the rest of the batch, so that no restart
+  // falls inside it and every pulled bit is consumed from the active source
+  // whatever the batch holds.
+  if (state_ != DegradationState::healthy ||
+      std::uint64_t{stats_.strikes} + 1 >= policy_.max_strikes) {
+    return 0;
+  }
+  const std::uint64_t backoff =
+      backoff_for_strike(policy_.backoff_bits, stats_.strikes + 1);
+  return static_cast<std::size_t>(std::min<std::uint64_t>(
+      {backoff / 64, raw_left / 64, room_bits / 64, kMaxBatchWords}));
 }
 
-bool ResilientGenerator::take_word(std::uint64_t word) {
+[[gnu::always_inline]] inline bool ResilientGenerator::take_word(
+    std::uint64_t word) {
   if (!rct_.word_clear(word, rct_word_limit_) ||
       !apt_.word_clear(word, apt_word_limit_)) {
     return false;

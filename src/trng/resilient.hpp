@@ -25,17 +25,23 @@
 //
 // Word path. While the generator is healthy, raw bits are pulled and tested
 // 64 at a time (BitSource::fill_words, RepetitionCountTest/
-// AdaptiveProportionTest::word_clear + feed_word). A word is pulled whole
-// only when every per-bit decision inside it is already known not to pull
-// differently: the generator is healthy, >= 64 raw bits remain in the
-// budget, >= 64 output bits fit, an alarm anywhere in the word would mute
-// rather than latch `failed`, and the backoff after it covers >= 64 bits (so
-// no restart can fall inside the word). A pulled word whose bits could
-// raise an alarm, reach the suspect level or straddle an APT window edge is
-// then fed through the per-bit step() instead, so emitted bits, stats,
+// AdaptiveProportionTest::word_clear + feed_word, inline in health.hpp).
+// produce() pulls a batch of k words with one fill_words() call, where
+//   k = min(backoff after one more strike / 64, raw budget left / 64,
+//           output room in bits / 64, 8),
+// and only while the generator is healthy and one more alarm would mute
+// rather than latch `failed`. An alarm anywhere in the batch therefore
+// mutes for at least the rest of it: no restart, failover or `failed`
+// latch can fall inside a batch, so every pulled bit is the bit the per-bit
+// machine would have pulled from the same source. Each word of the batch is
+// taken whole while the generator is still healthy and the word can raise
+// no alarm, reach no suspect level and straddle no APT window edge;
+// otherwise it is fed through the per-bit step(). Emitted bits, stats,
 // transitions, histograms and the bits taken from each source are exactly
 // those of the per-bit machine; calls with < 64 raw bits left never reach
 // the word path, which makes generate(1) in a loop the per-bit reference.
+// The loop is compiled twice, with and without POPCNT for the APT word
+// count, and the version is chosen once per process from CPUID.
 #pragma once
 
 #include <cstdint>
@@ -211,12 +217,17 @@ class ResilientGenerator {
 
   /// The one production loop behind generate() and fill_bytes(): pull up to
   /// `max_raw_bits` raw bits, pack emitted bits after `carry` into `out`,
-  /// return the complete bytes written.
+  /// return the complete bytes written. Runs produce_words() through
+  /// produce_popcnt() when the CPU has POPCNT.
   std::size_t produce(std::span<std::uint8_t> out, Carry& carry,
                       std::size_t max_raw_bits);
-  /// True when the next 64 raw bits may be pulled as one word (see the
-  /// file comment).
-  bool word_path_open() const;
+  std::size_t produce_popcnt(std::span<std::uint8_t> out, Carry& carry,
+                             std::size_t max_raw_bits);
+  std::size_t produce_words(std::span<std::uint8_t> out, Carry& carry,
+                            std::size_t max_raw_bits);
+  /// Words the next fill_words() may pull as one batch (see the file
+  /// comment); 0 when the next raw bit must be pulled alone.
+  std::size_t word_batch(std::size_t raw_left, std::size_t room_bits) const;
   /// Test a pulled word whole; false (nothing changed) when it must be
   /// stepped bit by bit instead.
   bool take_word(std::uint64_t word);

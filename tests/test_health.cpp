@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -162,6 +163,26 @@ class RunnyBits {
   std::uint32_t left_ = 0;
   std::uint8_t value_ = 0;
 };
+
+TEST(HealthWords, SwarPopcountMatchesStdPopcount) {
+  // The APT word count; a caller built for POPCNT compiles it to one
+  // instruction, a baseline caller runs this code.
+  Xoshiro256 rng(0x9C7);
+  for (const std::uint64_t word : {std::uint64_t{0}, ~std::uint64_t{0},
+                                   std::uint64_t{1} << 63, std::uint64_t{1}}) {
+    EXPECT_EQ(detail::word_popcount(word),
+              static_cast<std::uint32_t>(std::popcount(word)));
+  }
+  for (int trial = 0; trial < 10'000; ++trial) {
+    // Sparse, dense and uniform words.
+    const std::uint64_t a = rng.next(), b = rng.next();
+    for (const std::uint64_t word : {a, a & b, a | b}) {
+      ASSERT_EQ(detail::word_popcount(word),
+                static_cast<std::uint32_t>(std::popcount(word)))
+          << word;
+    }
+  }
+}
 
 TEST(HealthWords, RctWordClearAndFeedWordMatchSixtyFourFeeds) {
   Xoshiro256 rng(0x5C7);

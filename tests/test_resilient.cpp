@@ -391,15 +391,35 @@ using Script = std::function<std::uint8_t(std::uint64_t, std::uint64_t)>;
 
 class CountingSource final : public BitSource {
  public:
-  explicit CountingSource(Script script) : script_(std::move(script)) {}
+  /// `own_words`: fill_words() reads the script directly instead of the
+  /// base class's one next_bit() per bit (what RingBitSource keeps).
+  CountingSource(Script script, bool own_words)
+      : script_(std::move(script)), own_words_(own_words) {}
   std::uint8_t next_bit() override { return script_(attempt_, index_++); }
+  void fill_words(std::span<std::uint64_t> words) override {
+    largest_batch_ = std::max(largest_batch_, words.size());
+    if (!own_words_) {
+      BitSource::fill_words(words);
+      return;
+    }
+    for (std::uint64_t& word : words) {
+      word = 0;
+      for (unsigned i = 0; i < 64; ++i) {
+        word |= std::uint64_t{script_(attempt_, index_++)} << i;
+      }
+    }
+  }
   void restart(std::uint64_t attempt) override { attempt_ = attempt; }
   std::uint64_t pulled() const { return index_; }
+  /// Most words pulled by one fill_words() call.
+  std::size_t largest_batch() const { return largest_batch_; }
 
  private:
   Script script_;
+  bool own_words_;
   std::uint64_t attempt_ = 0;
   std::uint64_t index_ = 0;
+  std::size_t largest_batch_ = 0;
 };
 
 std::uint64_t mix(std::uint64_t seed, std::uint64_t attempt,
@@ -456,11 +476,16 @@ std::vector<std::uint8_t> alternating_with_runs(
   return bits;
 }
 
+/// fill_bytes() calls as (buffer bytes, raw budget), taken in turn.
+using FillSchedule = std::vector<std::pair<std::size_t, std::size_t>>;
+
 struct WordCase {
   DegradationPolicy policy;
   Script primary;
   Script backup;  ///< empty: no backup source
   std::size_t raw_bits = 0;
+  bool own_words = false;  ///< sources override fill_words()
+  FillSchedule fill_schedule{};  ///< empty: drive()'s awkward default
 };
 
 enum class Drive { per_bit, generate_whole, generate_chunked, fill_bytes };
@@ -472,6 +497,7 @@ struct Observed {
   DegradationState state = DegradationState::healthy;
   std::uint64_t primary_pulled = 0;
   std::uint64_t backup_pulled = 0;
+  std::size_t largest_batch = 0;
   sim::telemetry::Snapshot histograms;
   std::uint64_t stream_bits = 0;
   double stream_bias = 0.0;
@@ -486,9 +512,10 @@ void append(std::vector<std::uint8_t>& to,
 
 Observed drive(const WordCase& word_case, Drive how) {
   namespace histo = sim::telemetry;
-  CountingSource primary(word_case.primary);
-  CountingSource backup(word_case.backup ? word_case.backup
-                                         : random_script(0));
+  CountingSource primary(word_case.primary, word_case.own_words);
+  CountingSource backup(
+      word_case.backup ? word_case.backup : random_script(0),
+      word_case.own_words);
   ResilientGenerator gen(primary, word_case.backup ? &backup : nullptr,
                          word_case.policy);
   telemetry::StreamingEntropy stream;
@@ -519,18 +546,24 @@ Observed drive(const WordCase& word_case, Drive how) {
       break;
     }
     case Drive::fill_bytes: {
-      // Awkward buffers and raw budgets, so calls end on a full buffer, a
-      // spent budget and a partial byte in turn.
-      const std::size_t buffers[] = {1, 9, 64, 3, 200, 8};
-      const std::size_t budgets[] = {4096, 63, 64, 1, 65, 777, 500};
+      FillSchedule schedule = word_case.fill_schedule;
+      if (schedule.empty()) {
+        // Awkward buffers and raw budgets, so calls end on a full buffer, a
+        // spent budget and a partial byte in turn.
+        const std::size_t buffers[] = {1, 9, 64, 3, 200, 8};
+        const std::size_t budgets[] = {4096, 63, 64, 1, 65, 777, 500};
+        for (std::size_t k = 0; k < 6 * 7; ++k) {
+          schedule.emplace_back(buffers[k % 6], budgets[k % 7]);
+        }
+      }
       std::vector<std::uint8_t> bytes;
       for (std::size_t k = 0; !spent(); ++k) {
-        std::uint8_t buffer[200];
+        const auto [buffer_size, budget] = schedule[k % schedule.size()];
+        std::vector<std::uint8_t> buffer(buffer_size);
         const std::size_t left = total - gen.stats().bits_in;
-        const std::size_t got = gen.fill_bytes(
-            std::span<std::uint8_t>(buffer, buffers[k % 6]),
-            std::min(budgets[k % 7], left));
-        bytes.insert(bytes.end(), buffer, buffer + got);
+        const std::size_t got =
+            gen.fill_bytes(buffer, std::min(budget, left));
+        bytes.insert(bytes.end(), buffer.begin(), buffer.begin() + got);
       }
       for (const std::uint8_t byte : bytes) {
         for (std::size_t b = 0; b < 8; ++b) {
@@ -550,6 +583,8 @@ Observed drive(const WordCase& word_case, Drive how) {
   seen.state = gen.state();
   seen.primary_pulled = primary.pulled();
   seen.backup_pulled = backup.pulled();
+  seen.largest_batch =
+      std::max(primary.largest_batch(), backup.largest_batch());
   seen.stream_bits = stream.bits();
   seen.stream_bias = stream.bias();
   seen.stream_markov = stream.markov_min_entropy();
@@ -856,4 +891,96 @@ TEST(RingBitSource, IdenticalConfigsReplayIdenticalBits) {
   a.restart(1);
   for (int i = 0; i < 16; ++i) (void)a.next_bit();
   EXPECT_GT(a.now(), before);
+}
+
+// --- Batched pulls ----------------------------------------------------------
+//
+// A healthy generator pulls k = min(backoff after one more strike / 64,
+// raw budget left / 64, output room / 64, 8) words per fill_words() call.
+// Each case runs with sources that keep the base class's per-bit
+// fill_words() (as RingBitSource does) and with sources that override it.
+
+TEST(ResilientWordPath, BatchOfBackoffWordsMatchesBitPath) {
+  for (const std::uint64_t backoff : {64u, 128u, 192u, 256u}) {
+    for (const bool own_words : {false, true}) {
+      SCOPED_TRACE("backoff " + std::to_string(backoff) +
+                   (own_words ? " own words" : " per-bit words"));
+      DegradationPolicy policy = test_policy();
+      policy.backoff_bits = backoff;
+      policy.max_strikes = 4;
+      policy.probation_bits = 256;
+      // Two stuck-at faults: the second relock fails over to the backup.
+      const Script faults = stuck_script(
+          stuck_script(random_script(41), 3000, 3100), 9000, 9100, 0);
+      const WordCase fault_case{policy, faults, random_script(42), 20'000,
+                                own_words};
+      const Observed ref = expect_word_path_matches_bit_path(fault_case);
+      EXPECT_EQ(ref.stats.rct_alarms, 2u);
+      EXPECT_EQ(ref.stats.failovers, 1u);
+      EXPECT_GT(ref.backup_pulled, 0u);
+
+      const WordCase clean_case{policy, random_script(43), {}, 20'000,
+                                own_words};
+      expect_word_path_matches_bit_path(clean_case);
+      EXPECT_EQ(drive(clean_case, Drive::generate_whole).largest_batch,
+                backoff / 64);
+    }
+  }
+}
+
+TEST(ResilientWordPath, AlarmInTheFirstAndLastWordOfABatchMatchesBitPath) {
+  // Backoff 256: while healthy from bit 0, generate() pulls 4-word batches
+  // on a 256-bit grid. suspect_fraction 1 keeps the generator healthy up to
+  // the alarm. After the restart the source serves a different stream, so
+  // a restart placed a bit early or late changes the bits.
+  DegradationPolicy policy = test_policy();
+  policy.suspect_fraction = 1.0;
+  ASSERT_EQ(policy.backoff_bits, 256u);
+  const std::size_t cutoff = rct_cutoff(0.3);
+  const std::size_t batch_start = 256 * 20;
+  for (const std::size_t end :
+       {batch_start, batch_start + 10, batch_start + 64 * 3 + 50,
+        batch_start + 255}) {
+    for (const bool own_words : {false, true}) {
+      SCOPED_TRACE("run end " + std::to_string(end) +
+                   (own_words ? " own words" : " per-bit words"));
+      const Script before = vector_script(
+          alternating_with_runs(batch_start + 1024, {{end, cutoff}}));
+      const Script after = random_script(51);
+      const Script script = [before, after](std::uint64_t attempt,
+                                            std::uint64_t index) {
+        return attempt == 0 ? before(attempt, index) : after(attempt, index);
+      };
+      const WordCase word_case{policy, script, {}, 12'000, own_words};
+      const Observed ref = expect_word_path_matches_bit_path(word_case);
+      EXPECT_EQ(ref.stats.rct_alarms, 1u);
+      EXPECT_EQ(ref.stats.first_alarm_bit, end + 1);
+      // The relock comes 256 muted bits after the alarming bit: for an
+      // alarm on a batch's first bit, on the first bit after the batch.
+      ASSERT_GE(ref.transitions.size(), 2u);
+      EXPECT_EQ(ref.transitions[1].to, DegradationState::relocking);
+      EXPECT_EQ(ref.transitions[1].at_bit, end + 1 + 256);
+      EXPECT_TRUE(ref.stats.recovered);
+    }
+  }
+}
+
+TEST(ResilientWordPath, BudgetAndRoomEndingMidBatchMatchBitPath) {
+  // fill_bytes() calls whose raw budget (389 = 6 words + 5 bits, 130) or
+  // output room (20 and 13 bytes) ends inside a 4-word batch.
+  const FillSchedule schedule = {
+      {200, 64 * 6 + 5}, {20, 4096}, {13, 4096}, {200, 130}, {3, 4096}};
+  for (const bool own_words : {false, true}) {
+    SCOPED_TRACE(own_words ? "own words" : "per-bit words");
+    DegradationPolicy policy = test_policy();
+    policy.max_strikes = 5;
+    const Script faults = stuck_script(
+        stuck_script(random_script(61), 4000, 4100), 12'000, 12'100, 0);
+    WordCase word_case{policy, faults, random_script(62), 30'000, own_words,
+                       schedule};
+    const Observed ref = expect_word_path_matches_bit_path(word_case);
+    EXPECT_EQ(ref.stats.rct_alarms, 2u);
+    EXPECT_TRUE(ref.stats.recovered);
+    EXPECT_GT(drive(word_case, Drive::fill_bytes).largest_batch, 1u);
+  }
 }

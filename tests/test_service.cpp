@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -353,27 +354,97 @@ TEST(Conditioner, HashGoldenVectorMatchesChainedSha256) {
 TEST(Conditioner, ChunkingInvariance) {
   // Both conditioners are streaming: output depends on the byte sequence,
   // never on process() call boundaries.
-  Bytes raw(257);
+  Bytes raw(1000);
   for (std::size_t i = 0; i < raw.size(); ++i) {
     raw[i] = static_cast<std::uint8_t>(i * 31 + 11);
   }
   for (const auto kind :
        {service::ConditionerKind::lfsr, service::ConditionerKind::hash}) {
-    const auto whole_cond = service::make_conditioner(kind, 2);
-    Bytes whole;
-    whole_cond->process(raw, whole);
+    for (const std::size_t ratio : {1u, 2u, 3u, 4u, 7u}) {
+      const auto whole_cond = service::make_conditioner(kind, ratio);
+      Bytes whole;
+      whole_cond->process(raw, whole);
+      EXPECT_EQ(whole.size(),
+                kind == service::ConditionerKind::lfsr
+                    ? raw.size() / ratio
+                    : raw.size() / (32 * ratio) * 32);
 
-    const auto chunked_cond = service::make_conditioner(kind, 2);
-    Bytes chunked;
-    std::size_t off = 0;
-    for (const std::size_t chunk : {1u, 13u, 64u, 100u}) {
-      chunked_cond->process(
-          std::span<const std::uint8_t>(raw).subspan(off, chunk), chunked);
-      off += chunk;
+      const auto chunked_cond = service::make_conditioner(kind, ratio);
+      Bytes chunked;
+      std::size_t off = 0;
+      for (const std::size_t chunk : {1u, 13u, 64u, 100u, 0u, 250u}) {
+        chunked_cond->process(
+            std::span<const std::uint8_t>(raw).subspan(off, chunk), chunked);
+        off += chunk;
+      }
+      chunked_cond->process(std::span<const std::uint8_t>(raw).subspan(off),
+                            chunked);
+      EXPECT_EQ(chunked, whole)
+          << service::conditioner_kind_name(kind) << " ratio " << ratio;
     }
-    chunked_cond->process(std::span<const std::uint8_t>(raw).subspan(off),
-                          chunked);
-    EXPECT_EQ(chunked, whole) << service::conditioner_kind_name(kind);
+  }
+}
+
+/// Chained SHA-256 through the streaming API, one fresh hash per group:
+/// chain <- SHA-256(chain || 32 * ratio raw bytes), every chain emitted.
+Bytes hash_reference(const Bytes& raw, std::size_t ratio) {
+  const std::size_t group = 32 * ratio;
+  std::array<std::uint8_t, service::Sha256::digest_size> chain{};
+  Bytes out;
+  for (std::size_t at = 0; at + group <= raw.size(); at += group) {
+    service::Sha256 hash;
+    hash.update(chain);
+    hash.update(std::span<const std::uint8_t>(raw).subspan(at, group));
+    chain = hash.finish();
+    out.insert(out.end(), chain.begin(), chain.end());
+  }
+  return out;
+}
+
+TEST(Conditioner, HashMatchesStreamingSha256OverRatiosAndChunkings) {
+  // Ratios 1-4 and 7 put 0 or 32 raw bytes after the chain's block and the
+  // whole middle blocks, so the padding gets a block of its own or shares
+  // the tail's.
+  Xoshiro256 rng(0xC0FFEEull);
+  for (const std::size_t ratio : {1u, 2u, 3u, 4u, 7u}) {
+    SCOPED_TRACE(ratio);
+    const std::size_t group = 32 * ratio;
+    Bytes raw(9 * group + 17);
+    for (std::uint8_t& b : raw) b = static_cast<std::uint8_t>(rng.next());
+    const Bytes expected = hash_reference(raw, ratio);
+    ASSERT_EQ(expected.size(), 9u * 32);
+
+    // Chunk sizes per call: whole, exact multiples of a group, a partial
+    // group followed by one long run, and random sizes with many 1-byte
+    // chunks among them.
+    std::vector<std::vector<std::size_t>> chunkings = {
+        {raw.size()},
+        {group, 2 * group, 3 * group},
+        {group / 2 + 3, raw.size()},
+    };
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::size_t> sizes;
+      for (std::size_t total = 0; total < raw.size();) {
+        const std::size_t size =
+            rng.next() % 3 == 0 ? 1 : rng.next() % (2 * group + 1);
+        sizes.push_back(size);
+        total += size;
+      }
+      chunkings.push_back(std::move(sizes));
+    }
+    for (const auto& sizes : chunkings) {
+      service::HashConditioner cond(ratio);
+      Bytes out;
+      std::size_t off = 0;
+      for (const std::size_t size : sizes) {
+        const std::size_t take = std::min(size, raw.size() - off);
+        cond.process(std::span<const std::uint8_t>(raw).subspan(off, take),
+                     out);
+        off += take;
+      }
+      cond.process(std::span<const std::uint8_t>(raw).subspan(off), out);
+      EXPECT_EQ(out, expected) << "first chunk " << sizes.front();
+    }
   }
 }
 
